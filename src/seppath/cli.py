@@ -1,5 +1,5 @@
 """Command line surface: generate graphs, run the pipeline, verify systems,
-query the exact oracle, and benchmark.
+and query the exact oracle.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage or bad data, 3 I/O error.
 """
@@ -8,18 +8,17 @@ import argparse
 import os
 import sys
 import tempfile
-import time
 
-from .graphs import generate, graph_from_edge_list, serialize_edge_list
-from .separation import (
+from .graphs import Path, generate, graph_from_edge_list, serialize_edge_list
+# perfbench/layers.py traces the two baselines under this module's names
+from .separation import (  # noqa: F401
     PathSystem,
     baseline_nlogn,
     brute_force_min_system,
     singleton_baseline,
     verify_separation,
 )
-from .graphs import Path
-from .strategies import PipelineConfig, iterated_log, separate_all
+from .strategies import PipelineConfig, separate_all
 
 SYSTEM_FORMAT = "seppath-system v1"
 
@@ -27,19 +26,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-def _worker_cap():
-    raw = os.environ.get("SEPPATH_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError("SEPPATH_THREADS must be an integer")
-    if cap < 1:
-        raise ValueError("SEPPATH_THREADS must be >= 1")
-    return cap
 
 
 def write_atomic(path, text):
@@ -124,7 +110,6 @@ def _config_from_args(args):
 
 
 def cmd_separate(args):
-    _worker_cap()
     G = graph_from_edge_list(_read_text(args.input))
     cfg = _config_from_args(args)
     system, report = separate_all(G, cfg, seed=args.seed, timings=args.timings)
@@ -164,63 +149,8 @@ def cmd_oracle(args):
     return EXIT_OK
 
 
-def _bench_instances(families, sizes, seeds):
-    for fam in families:
-        pieces = fam.split(":")
-        name, extra = pieces[0], [_number(x) for x in pieces[1:]]
-        for n in sizes:
-            for seed in seeds:
-                if name == "gnp":
-                    yield fam, generate("gnp", n, extra[0], seed=seed), seed
-                elif name == "regular":
-                    d = int(extra[0])
-                    if (n * d) % 2:
-                        continue
-                    yield fam, generate("random_regular", n, d, seed=seed), seed
-                elif name == "hypercube":
-                    k = max(1, n.bit_length() - 1)
-                    yield fam, generate("hypercube", k), seed
-                elif name == "grid":
-                    side = max(2, int(round(n ** 0.5)))
-                    yield fam, generate("grid", side, side), seed
-                else:
-                    raise ValueError("unknown bench family %r" % name)
-
-
-def cmd_bench(args):
-    _worker_cap()
-    cfg = _config_from_args(args)
-    families = [f for f in args.families.split(",") if f]
-    sizes = [int(x) for x in args.sizes.split(",") if x]
-    seeds = [int(x) for x in args.seeds.split(",") if x]
-    rows = ["family,seed,n,e,pipeline_size,baseline_size,singleton_size,"
-            "fallback_fraction,runtime_ms,size_per_n,size_per_nlogstar"]
-    for fam, G, seed in _bench_instances(families, sizes, seeds):
-        t0 = time.perf_counter()
-        system, report = separate_all(G, cfg, seed=seed, timings=args.timings)
-        runtime = int((time.perf_counter() - t0) * 1000) if args.timings else 0
-        n = max(1, len(G))
-        e = G.num_edges()
-        fallback = sum(r[4] for r in report.rows if r[1] == "one-step")
-        tail = sum(r[4] for r in report.rows if r[1] == "singleton-tail")
-        frac = (fallback + tail) / e if e else 0.0
-        base = len(baseline_nlogn(G))
-        single = len(singleton_baseline(G))
-        rows.append("%s,%d,%d,%d,%d,%d,%d,%.6f,%d,%.6f,%.6f" % (
-            fam, seed, n, e, len(system), base, single, frac, runtime,
-            len(system) / n, len(system) / (n * iterated_log(n))))
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
 def _add_config_flags(sub):
     for name, typ in sorted(PipelineConfig.FIELDS.items()):
-        if name == "seed":
-            continue  # the subcommand's own --seed flag feeds the run
         sub.add_argument("--%s" % name.replace("_", "-"), dest=name,
                          default=None, metavar=typ.__name__.upper())
 
@@ -259,16 +189,6 @@ def build_parser():
     p.add_argument("--mode", choices=("strong", "weak"), default="strong")
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("bench", help="benchmark the pipeline over a corpus")
-    p.add_argument("--families", required=True,
-                   help="comma list, e.g. gnp:0.3,regular:4,hypercube,grid")
-    p.add_argument("--sizes", required=True, help="comma list of n values")
-    p.add_argument("--seeds", required=True, help="comma list of seeds")
-    p.add_argument("--out")
-    p.add_argument("--timings", action="store_true")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

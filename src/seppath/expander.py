@@ -1,11 +1,11 @@
-"""Expansion testing, violation search, recursive expander decomposition, balls."""
+"""Expansion testing, violation search, recursive expander decomposition."""
 
 import itertools
 import math
 
 import numpy as np
 
-from .graphs import ball, neighborhood
+from .graphs import neighborhood
 
 EXHAUSTIVE_MAX_N = 14
 SPECTRAL_SEED = 12345
@@ -13,39 +13,28 @@ SPECTRAL_ITERS = 50
 
 
 class ExpanderParams:
-    __slots__ = ("epsilon", "s", "t", "flavor")
+    __slots__ = ("epsilon", "s", "t")
 
-    def __init__(self, epsilon, s=0.0, t=1.0, flavor="standard"):
+    def __init__(self, epsilon, s=0.0, t=1.0):
         if not (0 < epsilon <= 1.0 / 48):
             raise ValueError("epsilon must lie in (0, 1/48]")
         if s < 0 or t < 1:
             raise ValueError("need s >= 0 and t >= 1")
-        if flavor not in ("standard", "weak"):
-            raise ValueError("flavor must be standard or weak")
         self.epsilon = epsilon
         self.s = s
         self.t = t
-        self.flavor = flavor
 
     def effective_t(self, n):
         return min(self.t, 2 * n / 3)
 
     def edge_budget(self, x_size, n):
-        if self.flavor == "weak":
-            return int(self.s * x_size)
         return int(self.s * min(x_size, self.effective_t(n)))
 
-    def threshold(self, x_size, n):
-        if self.flavor == "weak":
-            denom = (math.log2(n) + 0.0) ** 2 if n > 1 else 1.0
-            denom = max(denom, 1e-12)
-        else:
-            denom = (math.log2(x_size) + 1.0) ** 2
-        return self.epsilon * x_size / denom
+    def threshold(self, x_size):
+        return self.epsilon * x_size / (math.log2(x_size) + 1.0) ** 2
 
     def __repr__(self):
-        return "ExpanderParams(eps=%g, s=%g, t=%g, %s)" % (
-            self.epsilon, self.s, self.t, self.flavor)
+        return "ExpanderParams(eps=%g, s=%g, t=%g)" % (self.epsilon, self.s, self.t)
 
 
 class ExpanderDecomposition:
@@ -68,7 +57,7 @@ class ExpanderDecomposition:
         total = sum(len(H) for H in self.parts)
         if total > 2 * n:
             raise AssertionError("sum of part sizes %d exceeds 2n = %d" % (total, 2 * n))
-        t = params.effective_t(n) if params.flavor == "standard" else n
+        t = params.effective_t(n)
         bound = 48 * params.s * n * (math.log2(max(t, 1)) + 1) ** 2
         if len(self.uncovered) > bound:
             raise AssertionError(
@@ -89,7 +78,7 @@ def is_expander_violation(G, X, F, p):
     if len(F) > p.edge_budget(len(X), n):
         raise ValueError("|F| exceeds the edge budget")
     H = G.without(edges=F)
-    return len(neighborhood(H, X)) < p.threshold(len(X), n)
+    return len(neighborhood(H, X)) < p.threshold(len(X))
 
 
 def _best_F(G, X, p):
@@ -121,7 +110,7 @@ def _check_candidate(G, X, p):
     if not (1 <= len(X) <= 2 * n / 3):
         return None
     F, n_left = _best_F(G, X, p)
-    if n_left < p.threshold(len(X), n):
+    if n_left < p.threshold(len(X)):
         return (frozenset(X), F)
     return None
 
@@ -210,7 +199,7 @@ def find_violating_pair(G, p, budget=2000):
                 return hit
             # remember the tightest prefix for local improvement
             F, n_left = _best_F(G, X, p)
-            slack = n_left - p.threshold(len(X), n)
+            slack = n_left - p.threshold(len(X))
             if best_cut is None or slack < best_cut[0]:
                 best_cut = (slack, set(X))
         if evals > budget:
@@ -228,8 +217,8 @@ def find_violating_pair(G, p, budget=2000):
                 if hit is not None:
                     return hit
                 _, n_left = _best_F(G, trial, p)
-                if n_left - p.threshold(len(trial), n) < best_cut[0]:
-                    best_cut = (n_left - p.threshold(len(trial), n), trial)
+                if n_left - p.threshold(len(trial)) < best_cut[0]:
+                    best_cut = (n_left - p.threshold(len(trial)), trial)
                     X = trial
                     improved = True
                     break
@@ -287,28 +276,4 @@ def certify_expander_exhaustive(G, p):
             continue
         if _check_candidate(G, X, p) is not None:
             return False
-    return True
-
-
-def grow_ball_avoiding(G, A, X, i):
-    """B^i_{G-X}(A): breadth-first ball in the graph with X deleted."""
-    A, X = set(A), set(X)
-    if A & X:
-        raise ValueError("A and X overlap")
-    return ball(G.without(vertices=X), A, i)
-
-
-def limited_contact_check(G, A, X, k, i_max):
-    """True iff |N_G(B^{i-1}_{G-X}(A)) n X| <= k*i for all 1 <= i <= i_max."""
-    A, X = set(A), set(X)
-    if A & X:
-        raise ValueError("A and X overlap")
-    if i_max < 1:
-        raise ValueError("i_max must be >= 1")
-    H = G.without(vertices=X)
-    B = set(A)
-    for i in range(1, i_max + 1):
-        if len(neighborhood(G, B) & X) > k * i:
-            return False
-        B |= neighborhood(H, B)
     return True

@@ -69,9 +69,6 @@ class Graph:
             return 0.0
         return 2.0 * len(self.edges) / len(self.live)
 
-    def max_degree(self):
-        return max((len(ns) for ns in self.adj.values()), default=0)
-
     def neighbors(self, v):
         return self.adj.get(v, ())
 
@@ -178,9 +175,6 @@ class PathForest:
     def edge_set(self):
         return {e for p in self.paths for e in p.edges()}
 
-    def ends(self):
-        return [p.ends() for p in self.paths]
-
 
 def neighborhood(G, X):
     """N_G(X): vertices outside X with a neighbor in X."""
@@ -202,20 +196,6 @@ def ball(G, X, i):
             break
         cur |= nxt
     return cur
-
-
-def induced_bipartite(G, A, B):
-    """G[A,B]: only edges with one end in A and the other in B."""
-    A, B = frozenset(A), frozenset(B)
-    if A & B:
-        raise ValueError("sides overlap")
-    edges = [e for e in G.edges
-             if (e[0] in A and e[1] in B) or (e[0] in B and e[1] in A)]
-    return Graph(G.n, edges, live=G.live)
-
-
-def remove(G, vertices=(), edges=()):
-    return G.without(vertices=vertices, edges=edges)
 
 
 def graph_from_edge_list(text):

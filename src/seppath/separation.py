@@ -157,6 +157,8 @@ def brute_force_min_system(G, mode="strong", cap=None):
     edges = sorted(G.edges)
     if len(edges) == 1:
         # a lone edge still needs one path so the system identifies it
+        if cap is not None and cap < 1:
+            raise ValueError("no separating system within cap %d" % cap)
         return PathSystem(G, [Path(edges[0])], mode=mode)
     if mode == "strong":
         pairs = [(e, f) for e in edges for f in edges if e != f]
@@ -197,10 +199,13 @@ def brute_force_min_system(G, mode="strong", cap=None):
     def search(chosen, size, missing):
         if not missing:
             # the bound is checked once per node, before its branches, so a
-            # sibling branch can complete a system of the best size so far
+            # sibling branch can complete a system of the best size so far;
+            # the tie-break needs a system found first, as best["size"]
+            # starts above the cap
             cand = sorted(universe[i].vertices for i in _bits(chosen))
             if size < best["size"] or (
-                size == best["size"] and (best["paths"] is None or cand < best["paths"])
+                best["paths"] is not None and size == best["size"]
+                and cand < best["paths"]
             ):
                 best["size"] = size
                 best["paths"] = cand
@@ -239,22 +244,3 @@ def baseline_nlogn(G):
             H = Graph(G.n, sub, live=G.live)
             paths.extend(decompose_into_paths(H).paths)
     return PathSystem(G, paths, mode="strong")
-
-
-def compose_separators(host, P_inner, Q_inner, P_decomp, Q_decomp):
-    """
-    Combine separators of an edge split E(host) = E1 + E2: inner systems
-    separate within each side, the side decompositions separate across.
-    """
-    for name, system in (("P_inner", P_inner), ("Q_inner", Q_inner)):
-        rep = verify_separation(system)
-        if not rep.ok:
-            raise ValueError("%s fails verification, witness %r" % (name, rep.witness))
-    e1, e2 = set(P_inner.target), set(Q_inner.target)
-    if e1 & e2 or (e1 | e2) != set(host.edges):
-        raise ValueError("inner targets do not partition the host edges")
-    if set(P_decomp.host.edges) != e1 or set(Q_decomp.host.edges) != e2:
-        raise ValueError("decompositions do not match the split")
-    paths = list(P_inner.paths) + list(Q_inner.paths)
-    paths += list(P_decomp.paths) + list(Q_decomp.paths)
-    return PathSystem(host, paths, mode="strong")

@@ -9,6 +9,7 @@ import math
 import random
 import time
 from collections import Counter
+from dataclasses import dataclass, fields, replace
 
 from .connector import (
     CompletionProblem,
@@ -19,7 +20,7 @@ from .connector import (
 )
 from .decomp import decompose_into_bounded_paths, decompose_into_paths
 from .expander import ExpanderParams, expander_decompose
-from .graphs import Graph, Path, PathForest, ball
+from .graphs import Graph, Path, ball
 from .separation import (
     PathSystem,
     baseline_nlogn,
@@ -48,83 +49,46 @@ def iterated_log(n):
     return k
 
 
+@dataclass(slots=True)
 class PipelineConfig:
-    """Tuning knobs for the pipeline; asymptotic_mode swaps in the literal
-    large-n formulas for documentation runs."""
+    """Tuning knobs for the pipeline; every knob must be positive, except
+    that extra_levels may be 0."""
 
-    FIELDS = {
-        "epsilon": float,
-        "s_dense": float,
-        "s_sparse": float,
-        "d7_exponent": int,
-        "r0_exponent": int,
-        "cap_basic_factor": int,
-        "cap_group_factor": int,
-        "cap_spread_factor": int,
-        "retries": int,
-        "seed": int,
-        "degree_floor": float,
-        "small_part_threshold": int,
-        "max_connector_len": int,
-        "extra_levels": int,
-        "asymptotic_mode": bool,
-    }
+    epsilon: float = 1.0 / 48
+    s_dense: float = 2.0
+    s_sparse: float = 8.0
+    d7_exponent: int = 7
+    cap_basic_factor: int = 3
+    cap_group_factor: int = 12
+    cap_spread_factor: int = 3
+    retries: int = 20
+    degree_floor: float = 16.0
+    small_part_threshold: int = 32
+    max_connector_len: int = 24
+    extra_levels: int = 2
 
-    __slots__ = tuple(FIELDS)
-
-    def __init__(self, epsilon=1.0 / 48, s_dense=2.0, s_sparse=8.0,
-                 d7_exponent=7, r0_exponent=5, cap_basic_factor=3,
-                 cap_group_factor=12, cap_spread_factor=3, retries=20,
-                 seed=0, degree_floor=16.0, small_part_threshold=32,
-                 max_connector_len=24, extra_levels=2, asymptotic_mode=False):
-        values = dict(
-            epsilon=epsilon, s_dense=s_dense, s_sparse=s_sparse,
-            d7_exponent=d7_exponent, r0_exponent=r0_exponent,
-            cap_basic_factor=cap_basic_factor, cap_group_factor=cap_group_factor,
-            cap_spread_factor=cap_spread_factor, retries=retries, seed=seed,
-            degree_floor=degree_floor, small_part_threshold=small_part_threshold,
-            max_connector_len=max_connector_len, extra_levels=extra_levels,
-            asymptotic_mode=asymptotic_mode)
-        for name, value in values.items():
-            if name not in ("seed", "asymptotic_mode") and value <= 0:
-                if not (name == "extra_levels" and value == 0):
-                    raise ValueError("%s must be positive" % name)
-            setattr(self, name, value)
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value <= 0 and not (f.name == "extra_levels" and value == 0):
+                raise ValueError("%s must be positive" % f.name)
 
     def with_overrides(self, overrides):
         """New config from string key/value overrides; unknown keys rejected."""
-        values = {name: getattr(self, name) for name in self.FIELDS}
+        values = {}
         for key, raw in overrides.items():
             if key not in self.FIELDS:
                 raise ValueError("unknown config key %r" % key)
-            typ = self.FIELDS[key]
-            if typ is bool:
-                if raw not in ("true", "false", True, False):
-                    raise ValueError("%s expects true or false" % key)
-                values[key] = raw in ("true", True)
-            else:
-                values[key] = typ(raw)
-        return PipelineConfig(**values)
+            values[key] = self.FIELDS[key](raw)
+        return replace(self, **values)
 
     def degree_threshold(self, d, n):
         """Degree above which a vertex counts as high-degree."""
-        t = max(2.0, d) ** self.d7_exponent
-        return t if self.asymptotic_mode else min(t, n)
+        return min(max(2.0, d) ** self.d7_exponent, n)
 
-    def spread_radius(self, d):
-        if self.asymptotic_mode:
-            return max(2, int(math.log2(max(d, 2)) ** self.r0_exponent))
-        return max(2, math.ceil(math.log2(math.log2(d + 2))))
 
-    def s_dense_value(self, n):
-        if self.asymptotic_mode:
-            return math.log2(max(n, 2)) ** 51
-        return self.s_dense
-
-    def s_sparse_value(self, d):
-        if self.asymptotic_mode:
-            return math.log2(max(d, 2)) ** 51
-        return self.s_sparse
+# knob name -> type, in declaration order
+PipelineConfig.FIELDS = {f.name: f.type for f in fields(PipelineConfig)}
 
 
 class StageResult:
@@ -490,28 +454,13 @@ def _separate_within(host, removed, V1, V2, cfg, seed):
     return paths, target, len(singles)
 
 
-def separate_random_subset(G, cfg, seed):
-    """Sample V (probability 1/3 per vertex), split it into hub and connector
-    halves, and separate E(G - V)."""
-    rng = random.Random("subset:%d:%d" % (cfg.seed, seed))
-    V, V1, V2 = set(), set(), set()
-    for v in G.vertices():
-        if rng.random() < 1.0 / 3:
-            V.add(v)
-            (V1 if rng.random() < 0.5 else V2).add(v)
-    paths, target, fb = _separate_within(G, V, V1, V2, cfg,
-                                         rng.randrange(1 << 30))
-    system = PathSystem(G, paths, target=target)
-    residual = Graph(G.n, G.edges - frozenset(target), live=G.live)
-    return V, StageResult(system, residual, fb, "random-subset", source=G)
-
-
 def separate_dense_expander(H, cfg, seed):
     """Random tripartition; for each class, separate the graph away from it.
     Every edge avoids some class, so the union covers E(H)."""
     if not H.edges:
         return _empty_stage(H, "dense-expander")
-    rng = random.Random("tripart:%d:%d" % (cfg.seed, seed))
+    # the "0" is part of the seed string: dropping it changes every tripartition
+    rng = random.Random("tripart:0:%d" % seed)
     cls = {v: rng.randrange(3) for v in H.vertices()}
     paths = []
     fb = 0
@@ -535,7 +484,7 @@ def reduce_large_deg(G, cfg, seed):
     if not G.edges:
         return _empty_stage(G, "reduce-large-deg")
     n = len(G)
-    params = ExpanderParams(cfg.epsilon, s=cfg.s_dense_value(n),
+    params = ExpanderParams(cfg.epsilon, s=cfg.s_dense,
                             t=max(1.0, 2 * n / 3))
     D = expander_decompose(G, params)
     paths = []
@@ -552,6 +501,30 @@ def reduce_large_deg(G, cfg, seed):
                        part_count=len(D.parts))
 
 
+def _complete_members(host, members, decomp, cfg):
+    """
+    One path through the members (vertex sequences) that avoids the other
+    edges of their decomposition paths and the ends of those edges; None
+    when completion fails.
+    """
+    medges = {e for m in members for e in Path(m).edges()}
+    blocked = set()
+    for e in medges:
+        blocked |= set(decomp.path_of(e).edges())
+    forbidden_edges = blocked - medges
+    mverts = {v for m in members for v in m}
+    forbidden_vertices = {v for e in forbidden_edges for v in e} - mverts
+    try:
+        prob = CompletionProblem(
+            host, [Path(m) for m in members],
+            forbidden_edges=forbidden_edges,
+            forbidden_vertices=forbidden_vertices,
+            limits={"max_connector_len": cfg.max_connector_len})
+        return complete_to_path(prob)
+    except ValueError:
+        return None
+
+
 def separate_high_degree(G, d, cfg):
     """
     Separate every edge touching the high-degree vertices L1: bounded
@@ -563,8 +536,7 @@ def separate_high_degree(G, d, cfg):
     threshold = cfg.degree_threshold(d, n)
     L1 = {v for v in G.vertices() if G.degree(v) >= threshold}
     if not L1:
-        return StageResult(PathSystem(G, [], target=()), G, 0,
-                           "high-degree", source=G)
+        return _empty_stage(G, "high-degree")
     L2 = {v for v in G.vertices()
           if v not in L1 and sum(1 for w in G.neighbors(v) if w in L1) >= 4}
     h1_edges = {e for e in G.edges
@@ -586,26 +558,8 @@ def separate_high_degree(G, d, cfg):
             raise AssertionError("group audit failed")
         covered = set()
         for g in groups:
-            gedges = set()
-            for m in g:
-                for i in range(len(m) - 1):
-                    a, b = m[i], m[i + 1]
-                    gedges.add((a, b) if a < b else (b, a))
-            blocked = set()
-            for e in gedges:
-                blocked |= set(P1.path_of(e).edges())
-            forbidden_edges = blocked - gedges
-            gverts = {v for m in g for v in m}
-            forbidden_vertices = {v for e in forbidden_edges for v in e} - gverts
-            try:
-                prob = CompletionProblem(
-                    G, [Path(m) for m in g],
-                    forbidden_edges=forbidden_edges,
-                    forbidden_vertices=forbidden_vertices,
-                    limits={"max_connector_len": cfg.max_connector_len})
-                p = complete_to_path(prob)
-            except ValueError:
-                p = None
+            gedges = {e for m in g for e in Path(m).edges()}
+            p = _complete_members(G, g, P1, cfg)
             if p is None:
                 singles.update(gedges)
             else:
@@ -628,7 +582,7 @@ def separate_sparse_expander(J, d, cfg):
         return _empty_stage(J, "sparse-expander")
     d_int = max(1, int(d))
     P = decompose_into_bounded_paths(J, d_int)
-    r0 = cfg.spread_radius(d)
+    r0 = max(2, math.ceil(math.log2(math.log2(d + 2))))
     cap = cfg.cap_spread_factor * max(len(J), math.ceil(len(J.edges) / d_int))
     matchings, leftovers = build_matchings_spread(J, P, d_int, r0, cap)
     if not audit_matchings_spread(J, P.paths, matchings, d_int, r0):
@@ -636,21 +590,7 @@ def separate_sparse_expander(J, d, cfg):
     paths = list(P.paths)
     singles = set(leftovers)
     for M in matchings:
-        blocked = set()
-        for e in M:
-            blocked |= set(P.path_of(e).edges())
-        forbidden_edges = blocked - set(M)
-        mverts = {v for e in M for v in e}
-        forbidden_vertices = {v for e in forbidden_edges for v in e} - mverts
-        try:
-            prob = CompletionProblem(
-                J, [Path(e) for e in M],
-                forbidden_edges=forbidden_edges,
-                forbidden_vertices=forbidden_vertices,
-                limits={"max_connector_len": cfg.max_connector_len})
-            p = complete_to_path(prob)
-        except ValueError:
-            p = None
+        p = _complete_members(J, M, P, cfg)
         if p is None:
             singles.update(M)
         else:
@@ -688,7 +628,7 @@ def reduce_small_deg(G, cfg, seed):
         R = st1.residual
         if not R.edges:
             continue
-        p1 = ExpanderParams(cfg.epsilon, s=cfg.s_sparse_value(d), t=max(1.0, d))
+        p1 = ExpanderParams(cfg.epsilon, s=cfg.s_sparse, t=max(1.0, d))
         D1 = expander_decompose(R, p1)
         part_count += len(D1.parts)
         residual_edges |= D1.uncovered
@@ -766,7 +706,7 @@ def separate_all(G, cfg=None, seed=0, timings=False):
     while (current.edges and current.avg_degree() >= cfg.degree_floor
            and level < max_levels):
         t0 = time.perf_counter()
-        st = one_step(current, cfg, cfg.seed * 9973 + seed * 131 + level)
+        st = one_step(current, cfg, seed * 131 + level)
         if not st.system.target:
             break
         added = len(st.system.paths)

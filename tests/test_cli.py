@@ -3,7 +3,7 @@ import os
 import pytest
 
 from seppath.cli import main, paths_from_text, system_to_text, write_atomic
-from seppath.graphs import Graph, Path, generate, graph_from_edge_list
+from seppath.graphs import Path, generate, graph_from_edge_list
 from seppath.separation import PathSystem
 
 
@@ -107,21 +107,6 @@ def test_oracle_too_large_exit_usage(tmp_path):
     assert run(["oracle", "--graph", str(g)]) == 2
 
 
-def test_bench_shape_and_determinism(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    argv = ["bench", "--families", "gnp:0.3,grid", "--sizes", "25,36",
-            "--seeds", "1,2"]
-    assert run(argv + ["--out", str(a)]) == 0
-    assert run(argv + ["--out", str(b)]) == 0
-    assert a.read_text() == b.read_text()
-    lines = a.read_text().strip().splitlines()
-    assert lines[0].startswith("family,seed,n,e,pipeline_size")
-    assert len(lines) == 1 + 2 * 2 * 2
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        assert float(cells[9]) > 0 and float(cells[10]) > 0
-
-
 def test_system_text_roundtrip():
     G = generate("cycle", 5)
     system = PathSystem(G, [Path([0, 1, 2]), Path([3, 4])])
@@ -129,15 +114,6 @@ def test_system_text_roundtrip():
     assert paths_from_text(text) == [(0, 1, 2), (3, 4)]
     with pytest.raises(ValueError):
         paths_from_text("0 1\n")  # missing version header
-
-
-def test_threads_env_validation(tmp_path, monkeypatch):
-    g = tmp_path / "g.edges"
-    run(["gen", "path", "4", "--out", str(g)])
-    monkeypatch.setenv("SEPPATH_THREADS", "zap")
-    assert run(["separate", "--in", str(g)]) == 2
-    monkeypatch.setenv("SEPPATH_THREADS", "2")
-    assert run(["separate", "--in", str(g)]) == 0
 
 
 def test_write_atomic_replaces(tmp_path):

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -8,18 +7,11 @@ from seppath.expander import (
     certify_expander_exhaustive,
     expander_decompose,
     find_violating_pair,
-    grow_ball_avoiding,
     is_expander_violation,
-    limited_contact_check,
 )
-from seppath.graphs import Graph, ball, generate
+from seppath.graphs import Graph, generate
 
 EPS = 1.0 / 48
-
-
-def bfs_ball_after_delete(G, A, X, i):
-    H = G.without(vertices=X)
-    return ball(H, A, i)
 
 
 def test_params_validation():
@@ -27,8 +19,6 @@ def test_params_validation():
         ExpanderParams(0.5)
     with pytest.raises(ValueError):
         ExpanderParams(EPS, s=-1)
-    with pytest.raises(ValueError):
-        ExpanderParams(EPS, flavor="nope")
 
 
 def test_violation_examples():
@@ -114,39 +104,6 @@ def test_decompose_invariants_random_corpus():
             for H in D.parts:
                 if len(H) <= 14:
                     assert certify_expander_exhaustive(H, p)
-
-
-def test_weak_flavor_uses_global_denominator():
-    G = generate("complete", 8)
-    pw = ExpanderParams(EPS, s=0, flavor="weak")
-    th = pw.threshold(4, len(G))
-    assert th == pytest.approx(EPS * 4 / (math.log2(8) ** 2))
-
-
-def test_grow_ball_examples():
-    G = generate("path", 5)
-    assert grow_ball_avoiding(G, {0}, set(), 3) == ball(G, {0}, 3)
-    assert grow_ball_avoiding(G, {0}, {2}, 4) == {0, 1}
-    Q4 = generate("hypercube", 4)
-    rng = random.Random(5)
-    X = set(rng.sample(range(1, 16), 3))
-    got = grow_ball_avoiding(Q4, {0}, X, 2)
-    assert got == bfs_ball_after_delete(Q4, {0}, X, 2)
-
-
-def test_grow_ball_monotone():
-    G = generate("gnp", 25, 0.2, seed=8)
-    X = {1, 2, 3}
-    A = {0} if 0 not in X else {5}
-    for i in range(4):
-        assert grow_ball_avoiding(G, A, X, i) <= grow_ball_avoiding(G, A, X, i + 1)
-
-
-def test_limited_contact():
-    G = generate("star", 5)
-    assert limited_contact_check(G, {1}, {0}, 1, 3)
-    assert not limited_contact_check(G, {1}, {0}, 0.5, 3)
-    assert limited_contact_check(G, {1}, set(), 0, 4)
 
 
 def test_find_deterministic():

@@ -9,9 +9,7 @@ from seppath.graphs import (
     ball,
     generate,
     graph_from_edge_list,
-    induced_bipartite,
     neighborhood,
-    remove,
     serialize_edge_list,
 )
 
@@ -94,23 +92,13 @@ def test_neighborhood_disjoint_from_x(G):
     assert ball(G, X, 1) == X | N
 
 
-def test_induced_bipartite_examples():
+def test_without_examples():
     K3 = generate("complete", 3)
-    assert induced_bipartite(K3, {0}, {1, 2}).edges == {(0, 1), (0, 2)}
-    assert induced_bipartite(K3, {0}, set()).edges == frozenset()
-    K4 = generate("complete", 4)
-    assert induced_bipartite(K4, {0, 1}, {2, 3}).edges == {(0, 2), (0, 3), (1, 2), (1, 3)}
-    with pytest.raises(ValueError):
-        induced_bipartite(K3, {0, 1}, {1, 2})
-
-
-def test_remove_examples():
-    K3 = generate("complete", 3)
-    H = remove(K3, vertices={0})
+    H = K3.without(vertices={0})
     assert H.edges == {(1, 2)} and len(H) == 2 and H.n == 3
-    H = remove(K3, edges={(1, 0)})
+    H = K3.without(edges={(1, 0)})
     assert H.edges == {(0, 2), (1, 2)}
-    assert remove(K3) == K3
+    assert K3.without() == K3
 
 
 def test_generators_small():

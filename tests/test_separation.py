@@ -3,14 +3,12 @@ import random
 
 import pytest
 
-from seppath.decomp import decompose_into_paths
 from seppath.graphs import Graph, Path, generate
 from seppath.separation import (
     PathSystem,
     all_simple_paths,
     baseline_nlogn,
     brute_force_min_system,
-    compose_separators,
     singleton_baseline,
     verify_separation,
 )
@@ -171,6 +169,18 @@ def test_oracle_cap():
     assert len(brute_force_min_system(K3, cap=3)) == 3
 
 
+def test_oracle_cap_edgeless_and_one_edge():
+    # the edgeless graph needs no path; a lone edge needs exactly one
+    empty = Graph(3, [])
+    with pytest.raises(ValueError, match="within cap -1"):
+        brute_force_min_system(empty, cap=-1)
+    assert len(brute_force_min_system(empty, cap=0)) == 0
+    edge = Graph(2, [(0, 1)])
+    with pytest.raises(ValueError, match="within cap 0"):
+        brute_force_min_system(edge, cap=0)
+    assert [p.vertices for p in brute_force_min_system(edge, cap=1).paths] == [(0, 1)]
+
+
 def test_oracle_weak():
     # one path gives 3 edges only 2 distinct signatures; two single-edge
     # paths give 10, 01 and 00
@@ -207,39 +217,3 @@ def test_baseline_nlogn():
         if m > 1:
             bits = max(1, (m - 1).bit_length())
             assert len(sys_) <= 2 * bits * len(G)
-
-
-def test_compose_separators():
-    K4 = generate("complete", 4)
-    tri = [(0, 1), (0, 2), (1, 2)]
-    rest = sorted(set(K4.edges) - set(tri))
-    G1 = Graph(4, tri)
-    G2 = Graph(4, rest)
-    composed = compose_separators(
-        K4,
-        singleton_baseline(G2),
-        singleton_baseline(G1),
-        decompose_into_paths(G2),
-        decompose_into_paths(G1),
-    )
-    assert verify_separation(composed).ok
-
-
-def test_compose_degenerate_splits():
-    G = generate("gnp", 10, 0.4, seed=5)
-    empty = Graph(G.n, [])
-    a = compose_separators(G, singleton_baseline(G), singleton_baseline(empty),
-                           decompose_into_paths(G), decompose_into_paths(empty))
-    assert verify_separation(a).ok
-    b = compose_separators(G, singleton_baseline(empty), singleton_baseline(G),
-                           decompose_into_paths(empty), decompose_into_paths(G))
-    assert verify_separation(b).ok
-
-
-def test_compose_rejects_bad_inner():
-    P3 = generate("path", 3)
-    bad = PathSystem(P3, [Path([0, 1, 2])])
-    empty = Graph(3, [])
-    with pytest.raises(ValueError):
-        compose_separators(P3, bad, singleton_baseline(empty),
-                           decompose_into_paths(P3), decompose_into_paths(empty))

@@ -25,7 +25,6 @@ from seppath.strategies import (
     separate_all,
     separate_dense_expander,
     separate_high_degree,
-    separate_random_subset,
     separate_sparse_expander,
 )
 
@@ -57,9 +56,8 @@ def test_iterated_log_definition():
 def test_config_validation_and_overrides():
     with pytest.raises(ValueError):
         PipelineConfig(retries=0)
-    cfg = CFG.with_overrides({"retries": "5", "s_dense": "1.5",
-                              "asymptotic_mode": "false"})
-    assert cfg.retries == 5 and cfg.s_dense == 1.5 and not cfg.asymptotic_mode
+    cfg = CFG.with_overrides({"retries": "5", "s_dense": "1.5"})
+    assert cfg.retries == 5 and cfg.s_dense == 1.5
     with pytest.raises(ValueError):
         CFG.with_overrides({"no_such_knob": "1"})
 
@@ -170,17 +168,6 @@ def test_short_path_unions_cyclic_members():
         assert cover.get(e, 0) <= 2
 
 
-def test_separate_random_subset_k20():
-    G = generate("complete", 20)
-    V, st = separate_random_subset(G, CFG, seed=7)
-    # verification and accounting are asserted by the StageResult constructor
-    assert st.system.target == G.without(vertices=V).edges
-    V2, st2 = separate_random_subset(G, CFG, seed=7)
-    assert V == V2
-    assert [p.vertices for p in st.system.paths] == [
-        p.vertices for p in st2.system.paths]
-
-
 def test_separate_dense_expander_verified():
     H = generate("gnp", 30, 0.5, seed=2)
     st = separate_dense_expander(H, CFG, seed=1)
@@ -283,14 +270,6 @@ def test_separate_all_audits_ran():
     G = generate("gnp", 60, 0.5, seed=16)
     separate_all(G, CFG, seed=0)
     assert sum(audit_counters.values()) > 0
-
-
-def test_separate_all_asymptotic_mode_still_valid():
-    cfg = PipelineConfig(asymptotic_mode=True)
-    G = generate("gnp", 30, 0.3, seed=17)
-    system, _ = separate_all(G, cfg, seed=0)
-    assert verify_separation(system).ok
-    assert len(system) <= G.num_edges()
 
 
 def test_report_csv_shape():
