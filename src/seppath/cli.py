@@ -1,7 +1,8 @@
 """Command line surface: generate graphs, run the pipeline, verify systems,
 and query the exact oracle.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage or bad data, 3 I/O error.
+Exit codes: 0 ok, 1 verification failure, 2 usage or bad data, 3 I/O error,
+4 internal error (a failed internal check of the pipeline).
 """
 
 import argparse
@@ -18,7 +19,7 @@ from .separation import (  # noqa: F401
     singleton_baseline,
     verify_separation,
 )
-from .strategies import PipelineConfig, separate_all
+from .strategies import separate_all
 
 SYSTEM_FORMAT = "seppath-system v1"
 
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def write_atomic(path, text):
@@ -100,19 +102,9 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-def _config_from_args(args):
-    overrides = {}
-    for name in PipelineConfig.FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    return PipelineConfig().with_overrides(overrides)
-
-
 def cmd_separate(args):
     G = graph_from_edge_list(_read_text(args.input))
-    cfg = _config_from_args(args)
-    system, report = separate_all(G, cfg, seed=args.seed, timings=args.timings)
+    system, report = separate_all(G, seed=args.seed, timings=args.timings)
     check = verify_separation(system)
     if args.out_system:
         write_atomic(args.out_system, system_to_text(system))
@@ -149,12 +141,6 @@ def cmd_oracle(args):
     return EXIT_OK
 
 
-def _add_config_flags(sub):
-    for name, typ in sorted(PipelineConfig.FIELDS.items()):
-        sub.add_argument("--%s" % name.replace("_", "-"), dest=name,
-                         default=None, metavar=typ.__name__.upper())
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="seppath",
@@ -175,7 +161,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timings", action="store_true",
                    help="record wall-clock columns (breaks byte-identical reruns)")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("verify", help="verify a path system against a graph")
@@ -203,6 +188,9 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

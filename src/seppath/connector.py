@@ -6,34 +6,31 @@ from collections import deque
 
 from .graphs import Path, PathForest, canonical_edge
 
-DEFAULT_MAX_LEN = 24
-DEFAULT_RETRIES = 20
-DEFAULT_MAX_MOVES = 10000
+MAX_LEN = 24        # longest connector, in edges
+RETRIES = 20        # random routing orders tried before the fixed one
+MAX_MOVES = 10000   # local search moves of one completion
 
 
 class ConnectionRequest:
-    __slots__ = ("host", "through", "pairs", "max_len", "min_len", "seed", "retries")
+    __slots__ = ("host", "through", "pairs", "min_len", "seed")
 
-    def __init__(self, host, through, pairs, max_len=DEFAULT_MAX_LEN, seed=0,
-                 retries=DEFAULT_RETRIES, min_len=1):
+    def __init__(self, host, through, pairs, seed=0, min_len=1):
         self.host = host
         self.through = frozenset(through)
         self.pairs = tuple(tuple(p) for p in pairs)
         ends = [v for p in self.pairs for v in p]
         if len(set(ends)) != len(ends):
             raise ValueError("pair endpoints must be pairwise distinct")
-        if not (1 <= min_len <= max_len):
-            raise ValueError("need 1 <= min_len <= max_len")
-        self.max_len = max_len
+        if not (1 <= min_len <= MAX_LEN):
+            raise ValueError("need 1 <= min_len <= %d" % MAX_LEN)
         self.min_len = min_len
         self.seed = seed
-        self.retries = retries
 
 
 class CompletionProblem:
-    __slots__ = ("host", "core", "forbidden_edges", "forbidden_vertices", "limits")
+    __slots__ = ("host", "core", "forbidden_edges", "forbidden_vertices")
 
-    def __init__(self, host, core, forbidden_edges=(), forbidden_vertices=(), limits=None):
+    def __init__(self, host, core, forbidden_edges=(), forbidden_vertices=()):
         self.host = host
         self.core = core if isinstance(core, PathForest) else PathForest(core)
         self.forbidden_edges = frozenset(canonical_edge(*e) for e in forbidden_edges)
@@ -42,7 +39,6 @@ class CompletionProblem:
             raise ValueError("forbidden vertices intersect the core")
         if self.forbidden_edges & self.core.edge_set():
             raise ValueError("forbidden edges intersect the core")
-        self.limits = dict(limits or {})
 
 
 def _bfs_path(G, a, b, blocked, max_len, min_len=1):
@@ -81,7 +77,7 @@ def _route_in_order(req, order):
     for idx in order:
         x, y = req.pairs[idx]
         blocked = (blocked_base | used) - {y}
-        p = _bfs_path(req.host, x, y, blocked, req.max_len, req.min_len)
+        p = _bfs_path(req.host, x, y, blocked, MAX_LEN, req.min_len)
         if p is None:
             return None
         routed[idx] = p
@@ -98,7 +94,7 @@ def connect_pairs_through(req):
     r = len(req.pairs)
     if r == 0:
         return []
-    for attempt in range(req.retries):
+    for attempt in range(RETRIES):
         rng = random.Random(req.seed * 1000003 + attempt)
         order = list(range(r))
         rng.shuffle(order)
@@ -111,7 +107,7 @@ def connect_pairs_through(req):
 
     def solo_len(idx):
         x, y = req.pairs[idx]
-        p = _bfs_path(req.host, x, y, blocked_base - {y}, req.max_len, req.min_len)
+        p = _bfs_path(req.host, x, y, blocked_base - {y}, MAX_LEN, req.min_len)
         return len(p) if p else req.host.n + 1
 
     order = sorted(range(r), key=lambda i: (-solo_len(i), i))
@@ -128,7 +124,7 @@ def check_connection(req, paths):
         vs = p.vertices
         if {vs[0], vs[-1]} != {x, y} or not p.valid_in(req.host):
             return False
-        if not (req.min_len <= len(p) <= req.max_len):
+        if not (req.min_len <= len(p) <= MAX_LEN):
             return False
         interior = set(vs[1:-1])
         if not interior <= req.through:
@@ -177,8 +173,6 @@ def complete_to_path(prob, trace=None):
     chains = [_Chain([("core", list(p.vertices))]) for p in prob.core.paths]
     if not chains:
         return None
-    max_len = prob.limits.get("max_connector_len", DEFAULT_MAX_LEN)
-    max_moves = prob.limits.get("max_moves", DEFAULT_MAX_MOVES)
 
     def used_vertices():
         out = set()
@@ -201,7 +195,7 @@ def complete_to_path(prob, trace=None):
                         options.append((a, b, i, j))
         options.sort()
         for a, b, i, j in options:
-            p = _bfs_path(H, a, b, used - {b}, max_len)
+            p = _bfs_path(H, a, b, used - {b}, MAX_LEN)
             if p is None:
                 continue
             left = chains[i].oriented(a)
@@ -238,7 +232,7 @@ def complete_to_path(prob, trace=None):
     if trace is not None:
         trace.append(prev)
     moves = 0
-    while len(chains) > 1 and moves < max_moves:
+    while len(chains) > 1 and moves < MAX_MOVES:
         if try_join() or try_reroute():
             cur = measure()
             if not cur < prev:

@@ -293,7 +293,6 @@ def decompose_into_paths(G):
         if not comp_edges:
             continue
         all_paths.extend(_decompose_component(comp_edges))
-    all_paths = _merge_pass(all_paths)
     if len(all_paths) > len(G):
         raise AssertionError(
             "path decomposition produced %d > n = %d paths" % (len(all_paths), len(G))

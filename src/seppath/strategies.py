@@ -9,7 +9,6 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, fields, replace
 
 from .connector import (
     CompletionProblem,
@@ -49,46 +48,22 @@ def iterated_log(n):
     return k
 
 
-@dataclass(slots=True)
-class PipelineConfig:
-    """Tuning knobs for the pipeline; every knob must be positive, except
-    that extra_levels may be 0."""
-
-    epsilon: float = 1.0 / 48
-    s_dense: float = 2.0
-    s_sparse: float = 8.0
-    d7_exponent: int = 7
-    cap_basic_factor: int = 3
-    cap_group_factor: int = 12
-    cap_spread_factor: int = 3
-    retries: int = 20
-    degree_floor: float = 16.0
-    small_part_threshold: int = 32
-    max_connector_len: int = 24
-    extra_levels: int = 2
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value <= 0 and not (f.name == "extra_levels" and value == 0):
-                raise ValueError("%s must be positive" % f.name)
-
-    def with_overrides(self, overrides):
-        """New config from string key/value overrides; unknown keys rejected."""
-        values = {}
-        for key, raw in overrides.items():
-            if key not in self.FIELDS:
-                raise ValueError("unknown config key %r" % key)
-            values[key] = self.FIELDS[key](raw)
-        return replace(self, **values)
-
-    def degree_threshold(self, d, n):
-        """Degree above which a vertex counts as high-degree."""
-        return min(max(2.0, d) ** self.d7_exponent, n)
+# The pipeline's fixed parameters.
+EPSILON = 1.0 / 48          # expansion constant of every expander split
+S_DENSE = 2.0               # edge budget factor s of the dense split
+S_SPARSE = 8.0              # edge budget factor s of the sparse split
+D7_EXPONENT = 7             # high degree: at least min(d^7, n)
+CAP_BASIC_FACTOR = 3        # degree matchings per host vertex
+CAP_GROUP_FACTOR = 12       # short-path-union groups per max(n, e/d)
+CAP_SPREAD_FACTOR = 3       # spread matchings per max(n, e/d)
+DEGREE_FLOOR = 16.0         # no level runs below this average degree
+SMALL_PART_THRESHOLD = 32   # sparse parts below this size go to the dense stage
+EXTRA_LEVELS = 2            # levels allowed beyond log* n
 
 
-# knob name -> type, in declaration order
-PipelineConfig.FIELDS = {f.name: f.type for f in fields(PipelineConfig)}
+def degree_threshold(d, n):
+    """Degree above which a vertex counts as high-degree."""
+    return min(max(2.0, d) ** D7_EXPONENT, n)
 
 
 class StageResult:
@@ -289,9 +264,9 @@ def _interleave_by_path(u, nbrs, decomp):
     by_pid = {}
     for w in sorted(nbrs):
         by_pid.setdefault(decomp.path_id_of((u, w)), []).append(w)
-    pools = sorted(by_pid.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    pools = [list(ws) for _, ws in pools]
-    pids = [pid for pid, _ in sorted(by_pid.items(), key=lambda kv: (-len(kv[1]), kv[0]))]
+    ranked = sorted(by_pid.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    pools = [ws for _, ws in ranked]
+    pids = [pid for pid, _ in ranked]
     out = []
     last_pid = None
     remaining = sum(len(p) for p in pools)
@@ -389,7 +364,7 @@ def audit_groups(decomp_paths, groups):
     return True
 
 
-def _close_matching(host, M, dbar, hubs, pool, target, cfg, seed):
+def _close_matching(host, M, dbar, hubs, pool, target, seed):
     """
     One path containing exactly the matching M among the target edges:
     extend through unused hub vertices, then close the forest with connectors
@@ -404,8 +379,7 @@ def _close_matching(host, M, dbar, hubs, pool, target, cfg, seed):
         pairs = [(comps[i].vertices[-1], comps[i + 1].vertices[0])
                  for i in range(len(comps) - 1)]
         req = ConnectionRequest(host, pool - forest.vertex_set(), pairs,
-                                max_len=cfg.max_connector_len, seed=seed,
-                                retries=cfg.retries, min_len=2)
+                                seed=seed, min_len=2)
         conn = connect_pairs_through(req)
         if conn is None:
             return None
@@ -422,20 +396,20 @@ def _close_matching(host, M, dbar, hubs, pool, target, cfg, seed):
     return p
 
 
-def _separate_within(host, removed, V1, V2, cfg, seed):
+def _separate_within(host, removed, V1, V2, seed):
     """
     Separate E(host - removed): path decomposition plus one closed path per
     degree-budgeted matching; matchings that fail to close fall back to
-    singleton paths. Returns (paths, target_edges, fallback_count).
+    singleton paths. Returns (paths, fallback_count).
     """
     Gp = host.without(vertices=removed)
     target = set(Gp.edges)
     if not target:
-        return [], target, 0
+        return [], 0
     decomp = decompose_into_paths(Gp)
     paths = list(decomp.paths)
     dbar = _min_endpoint_degrees(host, target)
-    cap = cfg.cap_basic_factor * max(1, len(host))
+    cap = CAP_BASIC_FACTOR * max(1, len(host))
     matchings, leftovers = build_matchings_degree(Gp, decomp, dbar, cap)
     if not audit_matchings_degree(host, decomp.paths, matchings):
         raise AssertionError("degree matching audit failed")
@@ -444,17 +418,16 @@ def _separate_within(host, removed, V1, V2, cfg, seed):
         if len(M) == 1:
             paths.append(Path(M[0]))
             continue
-        p = _close_matching(host, M, dbar, V1, V2, target, cfg,
-                            seed * 65537 + mi)
+        p = _close_matching(host, M, dbar, V1, V2, target, seed * 65537 + mi)
         if p is None:
             singles.update(M)
         else:
             paths.append(p)
     paths.extend(Path(e) for e in sorted(singles))
-    return paths, target, len(singles)
+    return paths, len(singles)
 
 
-def separate_dense_expander(H, cfg, seed):
+def separate_dense_expander(H, seed):
     """Random tripartition; for each class, separate the graph away from it.
     Every edge avoids some class, so the union covers E(H)."""
     if not H.edges:
@@ -469,8 +442,8 @@ def separate_dense_expander(H, cfg, seed):
         V1, V2 = set(), set()
         for v in sorted(Vi):
             (V1 if rng.random() < 0.5 else V2).add(v)
-        run_paths, _, run_fb = _separate_within(H, Vi, V1, V2, cfg,
-                                                rng.randrange(1 << 30))
+        run_paths, run_fb = _separate_within(H, Vi, V1, V2,
+                                             rng.randrange(1 << 30))
         paths.extend(run_paths)
         fb += run_fb
     system = PathSystem(H, paths, target=H.edges)
@@ -478,19 +451,18 @@ def separate_dense_expander(H, cfg, seed):
     return StageResult(system, empty, fb, "dense-expander", source=H)
 
 
-def reduce_large_deg(G, cfg, seed):
+def reduce_large_deg(G, seed):
     """Expander-decompose with the dense edge budget; separate each part and
     add its decomposition; the uncovered edges become the residual."""
     if not G.edges:
         return _empty_stage(G, "reduce-large-deg")
     n = len(G)
-    params = ExpanderParams(cfg.epsilon, s=cfg.s_dense,
-                            t=max(1.0, 2 * n / 3))
+    params = ExpanderParams(EPSILON, s=S_DENSE, t=max(1.0, 2 * n / 3))
     D = expander_decompose(G, params)
     paths = []
     fb = 0
     for k, H in enumerate(D.parts):
-        st = separate_dense_expander(H, cfg, seed * 1009 + k)
+        st = separate_dense_expander(H, seed * 1009 + k)
         paths.extend(st.system.paths)
         paths.extend(decompose_into_paths(H).paths)
         fb += st.fallback_count
@@ -501,7 +473,7 @@ def reduce_large_deg(G, cfg, seed):
                        part_count=len(D.parts))
 
 
-def _complete_members(host, members, decomp, cfg):
+def _complete_members(host, members, decomp):
     """
     One path through the members (vertex sequences) that avoids the other
     edges of their decomposition paths and the ends of those edges; None
@@ -518,14 +490,13 @@ def _complete_members(host, members, decomp, cfg):
         prob = CompletionProblem(
             host, [Path(m) for m in members],
             forbidden_edges=forbidden_edges,
-            forbidden_vertices=forbidden_vertices,
-            limits={"max_connector_len": cfg.max_connector_len})
+            forbidden_vertices=forbidden_vertices)
         return complete_to_path(prob)
     except ValueError:
         return None
 
 
-def separate_high_degree(G, d, cfg):
+def separate_high_degree(G, d):
     """
     Separate every edge touching the high-degree vertices L1: bounded
     decomposition of the L1/L2 subgraph, short-path-union groups completed to
@@ -533,7 +504,7 @@ def separate_high_degree(G, d, cfg):
     from L1 to the rest. Residual = G - L1.
     """
     n = len(G)
-    threshold = cfg.degree_threshold(d, n)
+    threshold = degree_threshold(d, n)
     L1 = {v for v in G.vertices() if G.degree(v) >= threshold}
     if not L1:
         return _empty_stage(G, "high-degree")
@@ -551,7 +522,7 @@ def separate_high_degree(G, d, cfg):
     if h1_edges:
         P1 = decompose_into_bounded_paths(H1, d_int)
         paths.extend(P1.paths)
-        cap = cfg.cap_group_factor * max(n, math.ceil(len(G.edges) / d_int))
+        cap = CAP_GROUP_FACTOR * max(n, math.ceil(len(G.edges) / d_int))
         groups, leftover_members = build_short_path_unions(
             H1, P1, L1, L2, d_int, cap)
         if not audit_groups(P1.paths, groups):
@@ -559,7 +530,7 @@ def separate_high_degree(G, d, cfg):
         covered = set()
         for g in groups:
             gedges = {e for m in g for e in Path(m).edges()}
-            p = _complete_members(G, g, P1, cfg)
+            p = _complete_members(G, g, P1)
             if p is None:
                 singles.update(gedges)
             else:
@@ -575,7 +546,7 @@ def separate_high_degree(G, d, cfg):
     return StageResult(system, residual, len(singles), "high-degree", source=G)
 
 
-def separate_sparse_expander(J, d, cfg):
+def separate_sparse_expander(J, d):
     """Bounded decomposition plus one completed path per spread matching;
     matchings whose completion fails fall back to singletons."""
     if not J.edges:
@@ -583,14 +554,14 @@ def separate_sparse_expander(J, d, cfg):
     d_int = max(1, int(d))
     P = decompose_into_bounded_paths(J, d_int)
     r0 = max(2, math.ceil(math.log2(math.log2(d + 2))))
-    cap = cfg.cap_spread_factor * max(len(J), math.ceil(len(J.edges) / d_int))
+    cap = CAP_SPREAD_FACTOR * max(len(J), math.ceil(len(J.edges) / d_int))
     matchings, leftovers = build_matchings_spread(J, P, d_int, r0, cap)
     if not audit_matchings_spread(J, P.paths, matchings, d_int, r0):
         raise AssertionError("spread matching audit failed")
     paths = list(P.paths)
     singles = set(leftovers)
     for M in matchings:
-        p = _complete_members(J, M, P, cfg)
+        p = _complete_members(J, M, P)
         if p is None:
             singles.update(M)
         else:
@@ -601,7 +572,7 @@ def separate_sparse_expander(J, d, cfg):
     return StageResult(system, empty, len(singles), "sparse-expander", source=J)
 
 
-def reduce_small_deg(G, cfg, seed):
+def reduce_small_deg(G):
     """
     Split into expanders with zero deletion budget; per part, peel off the
     high-degree edges, then re-split the rest with the sparse budget. Large
@@ -610,9 +581,9 @@ def reduce_small_deg(G, cfg, seed):
     """
     d = G.avg_degree()
     n = max(1, len(G))
-    if not G.edges or d < cfg.degree_floor:
+    if not G.edges or d < DEGREE_FLOOR:
         return _empty_stage(G, "reduce-small-deg"), []
-    p0 = ExpanderParams(cfg.epsilon, s=0.0, t=1.0)
+    p0 = ExpanderParams(EPSILON, s=0.0, t=1.0)
     D0 = expander_decompose(G, p0)
     paths = []
     fb = 0
@@ -621,20 +592,20 @@ def reduce_small_deg(G, cfg, seed):
     residual_edges = set()
     part_count = len(D0.parts)
     for H in D0.parts:
-        st1 = separate_high_degree(H, d, cfg)
+        st1 = separate_high_degree(H, d)
         paths.extend(st1.system.paths)
         fb += st1.fallback_count
         separated |= st1.system.target
         R = st1.residual
         if not R.edges:
             continue
-        p1 = ExpanderParams(cfg.epsilon, s=cfg.s_sparse, t=max(1.0, d))
+        p1 = ExpanderParams(EPSILON, s=S_SPARSE, t=max(1.0, d))
         D1 = expander_decompose(R, p1)
         part_count += len(D1.parts)
         residual_edges |= D1.uncovered
         for F in D1.parts:
-            if len(F) >= cfg.small_part_threshold:
-                st2 = separate_sparse_expander(F, d, cfg)
+            if len(F) >= SMALL_PART_THRESHOLD:
+                st2 = separate_sparse_expander(F, d)
                 paths.extend(st2.system.paths)
                 fb += st2.fallback_count
                 separated |= st2.system.target
@@ -648,17 +619,17 @@ def reduce_small_deg(G, cfg, seed):
                        part_count=part_count), small
 
 
-def one_step(G, cfg, seed):
+def one_step(G, seed):
     """One full reduction round: sparse machinery first, dense machinery on
     the small parts it returns; all stage systems unioned."""
-    st, small = reduce_small_deg(G, cfg, seed)
+    st, small = reduce_small_deg(G)
     paths = list(st.system.paths)
     fb = st.fallback_count
     target = set(st.system.target)
     residual_edges = set(st.residual.edges)
     parts = st.part_count
     for k, F in enumerate(small):
-        st2 = reduce_large_deg(F, cfg, seed * 31 + k + 1)
+        st2 = reduce_large_deg(F, seed * 31 + k + 1)
         paths.extend(st2.system.paths)
         fb += st2.fallback_count
         target |= st2.system.target
@@ -689,24 +660,22 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def separate_all(G, cfg=None, seed=0, timings=False):
+def separate_all(G, seed=0, timings=False):
     """
     Full pipeline: iterate one_step on successive residuals, add the
     per-level decompositions, finish the leftover edges as singletons, and
     return the smallest verified system among the pipeline and the two
     baselines. Output always separates E(G) and never exceeds e(G) paths.
     """
-    if cfg is None:
-        cfg = PipelineConfig()
     rows = []
     paths = []
     level = 0
     current = G
-    max_levels = iterated_log(max(1, len(G))) + cfg.extra_levels
-    while (current.edges and current.avg_degree() >= cfg.degree_floor
+    max_levels = iterated_log(max(1, len(G))) + EXTRA_LEVELS
+    while (current.edges and current.avg_degree() >= DEGREE_FLOOR
            and level < max_levels):
         t0 = time.perf_counter()
-        st = one_step(current, cfg, seed * 131 + level)
+        st = one_step(current, seed * 131 + level)
         if not st.system.target:
             break
         added = len(st.system.paths)

@@ -26,14 +26,11 @@ from seppath.separation import (
     verify_separation,
 )
 from seppath.strategies import (
-    PipelineConfig,
     audit_counters,
     iterated_log,
     reset_audit_counters,
     separate_all,
 )
-
-CFG = PipelineConfig()
 
 
 # ---------------------------------------------------------------- corpus
@@ -76,7 +73,7 @@ def corpus_runs():
     for fam, param, n, seed in corpus_specs():
         G = make_instance(fam, param, n, seed)
         t0 = time.perf_counter()
-        system, report = separate_all(G, CFG, seed=seed)
+        system, report = separate_all(G, seed=seed)
         elapsed = time.perf_counter() - t0
         runs.append({"fam": fam, "param": param, "n": n, "seed": seed,
                      "G": G, "system": system, "report": report,
@@ -318,7 +315,7 @@ def test_criterion_8_matching_audits(corpus_runs):
         separate_dense_expander,
         separate_high_degree,
     )
-    separate_dense_expander(generate("gnp", 40, 0.5, seed=9), CFG, seed=1)
+    separate_dense_expander(generate("gnp", 40, 0.5, seed=9), seed=1)
     # four hubs, ten vertices adjacent to all hubs, private leaves per hub:
     # sparse enough that the degree threshold sits below the hub degrees
     edges = [(h, s) for h in range(4) for s in range(4, 14)]
@@ -327,7 +324,7 @@ def test_criterion_8_matching_audits(corpus_runs):
         edges += [(h, nxt + i) for i in range(180)]
         nxt += 180
     hub = Graph(nxt, edges)
-    st = separate_high_degree(hub, hub.avg_degree(), CFG)
+    st = separate_high_degree(hub, hub.avg_degree())
     assert st.system.target
     G = generate("gnp", 30, 0.4, seed=4)
     D = decompose_into_paths(G)
@@ -339,6 +336,6 @@ def test_criterion_8_matching_audits(corpus_runs):
 
 def test_criterion_9_determinism(corpus_runs):
     for run in corpus_runs:
-        system2, report2 = separate_all(run["G"], CFG, seed=run["seed"])
+        system2, report2 = separate_all(run["G"], seed=run["seed"])
         assert system_to_text(system2) == system_to_text(run["system"]), run
         assert report2.to_csv() == run["report"].to_csv(), run

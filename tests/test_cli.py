@@ -68,10 +68,24 @@ def test_separate_malformed_input_exit_usage(tmp_path):
 def test_separate_config_override(tmp_path, capsys):
     g = tmp_path / "g.edges"
     run(["gen", "path", "6", "--out", str(g)])
-    assert run(["separate", "--in", str(g), "--degree-floor", "2"]) == 0
-    with pytest.raises(SystemExit) as exc:
-        run(["separate", "--in", str(g), "--no-such-knob", "1"])
-    assert exc.value.code == 2
+    # the pipeline's parameters are constants, not flags
+    for flag in ("--degree-floor", "--no-such-knob"):
+        with pytest.raises(SystemExit) as exc:
+            run(["separate", "--in", str(g), flag, "2"])
+        assert exc.value.code == 2
+
+
+def test_separate_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a failed internal check is not a verification failure (exit 1)
+    def broken(G, seed=0, timings=False):
+        raise AssertionError("path decomposition produced 17 > n = 15 paths")
+
+    monkeypatch.setattr("seppath.cli.separate_all", broken)
+    g = tmp_path / "g.edges"
+    run(["gen", "path", "6", "--out", str(g)])
+    assert run(["separate", "--in", str(g)]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: path decomposition produced 17 > n = 15 paths\n"
 
 
 def test_verify_failure_prints_witness(tmp_path, capsys):

@@ -1,21 +1,19 @@
 """Outputs pinned by SHA-256 digest. A refactor that is meant to keep the
 pipeline's behaviour must keep these digests; any change to a system or a
-report shows here. The three cases run the sparse-expander completion
-(inside separate_all), the dense tripartition and the high-degree
-completion."""
+report shows here. The four cases run the sparse-expander completion
+(inside separate_all), the dense tripartition, the high-degree completion
+and the dense stage reached through separate_all."""
 
 import hashlib
+import random
 
 from seppath.cli import system_to_text
 from seppath.graphs import Graph, generate
 from seppath.strategies import (
-    PipelineConfig,
     separate_all,
     separate_dense_expander,
     separate_high_degree,
 )
-
-CFG = PipelineConfig()
 
 
 def digest(text):
@@ -32,6 +30,29 @@ def four_hub_graph():
     return Graph(nxt, edges)
 
 
+def three_block_graph(seed):
+    # three near-cliques of 30 vertices at p = 0.95, joined by 27 random
+    # inter-block edges
+    rng = random.Random("clustered:%d" % seed)
+    n, size = 90, 30
+    edges = set()
+    for base in range(0, n, size):
+        for i in range(size):
+            for j in range(i + 1, size):
+                if rng.random() < 0.95:
+                    edges.add((base + i, base + j))
+    inter = 0
+    while inter < 27:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u // size == v // size:
+            continue
+        e = (min(u, v), max(u, v))
+        if e not in edges:
+            edges.add(e)
+            inter += 1
+    return Graph(n, edges)
+
+
 def test_separate_all_output_pinned():
     system, report = separate_all(generate("gnp", 60, 0.5, seed=16), seed=0)
     assert digest(system_to_text(system) + report.to_csv()) == (
@@ -39,13 +60,22 @@ def test_separate_all_output_pinned():
 
 
 def test_dense_expander_output_pinned():
-    st = separate_dense_expander(generate("gnp", 40, 0.5, seed=9), CFG, seed=1)
+    st = separate_dense_expander(generate("gnp", 40, 0.5, seed=9), seed=1)
     assert digest(system_to_text(st.system)) == (
         "980ed671c7cefb2c0f49d6116cf16ab9b0f4ad840fac6aa90776ce242474f694")
 
 
 def test_high_degree_output_pinned():
     hub = four_hub_graph()
-    st = separate_high_degree(hub, hub.avg_degree(), CFG)
+    st = separate_high_degree(hub, hub.avg_degree())
     assert digest(system_to_text(st.system)) == (
         "319682cdc5c9bc2a0587ffec13a4700e623771d3fa53eafa53c7c9db84f91710")
+
+
+def test_separate_all_dense_stage_pinned():
+    # two levels whose small sparse parts go on to the dense tripartition;
+    # the report's pipeline row reacts to the degree floor, the small-part
+    # threshold and the sparse edge budget
+    system, report = separate_all(three_block_graph(1001), seed=1001)
+    assert digest(system_to_text(system) + report.to_csv()) == (
+        "f0c713d06a19835055dfe388cbb247b00e5fe7748f0d560f2be9ce91136b8570")

@@ -7,7 +7,6 @@ from seppath.decomp import decompose_into_bounded_paths, decompose_into_paths
 from seppath.graphs import Graph, generate
 from seppath.separation import verify_separation
 from seppath.strategies import (
-    PipelineConfig,
     audit_counters,
     audit_groups,
     audit_matchings_basic,
@@ -27,8 +26,6 @@ from seppath.strategies import (
     separate_high_degree,
     separate_sparse_expander,
 )
-
-CFG = PipelineConfig()
 
 
 def test_iterated_log_values():
@@ -51,15 +48,6 @@ def test_iterated_log_definition():
         for _ in range(k):
             x = math.log2(x)
         assert x < 1
-
-
-def test_config_validation_and_overrides():
-    with pytest.raises(ValueError):
-        PipelineConfig(retries=0)
-    cfg = CFG.with_overrides({"retries": "5", "s_dense": "1.5"})
-    assert cfg.retries == 5 and cfg.s_dense == 1.5
-    with pytest.raises(ValueError):
-        CFG.with_overrides({"no_such_knob": "1"})
 
 
 def test_basic_matchings_single_edge_and_k3():
@@ -170,7 +158,7 @@ def test_short_path_unions_cyclic_members():
 
 def test_separate_dense_expander_verified():
     H = generate("gnp", 30, 0.5, seed=2)
-    st = separate_dense_expander(H, CFG, seed=1)
+    st = separate_dense_expander(H, seed=1)
     assert st.system.target == H.edges
     assert not st.residual.edges
 
@@ -181,7 +169,7 @@ def test_separate_high_degree_hub():
     G = Graph(200, edges)
     d = G.avg_degree()
     assert max(2.0, d) ** 7 <= len(G)
-    st = separate_high_degree(G, d, CFG)
+    st = separate_high_degree(G, d)
     assert 0 not in st.residual.live
     assert all(0 in e or (e[0] != 0 and e[1] != 0) for e in st.system.target)
     hub_edges = {e for e in G.edges if 0 in e}
@@ -190,25 +178,25 @@ def test_separate_high_degree_hub():
 
 def test_separate_high_degree_trivial_when_no_l1():
     G = generate("cycle", 12)
-    st = separate_high_degree(G, G.avg_degree(), CFG)
+    st = separate_high_degree(G, G.avg_degree())
     assert not st.system.target and st.residual.edges == G.edges
 
 
 def test_separate_sparse_expander_cycle():
     J = generate("cycle", 60)
-    st = separate_sparse_expander(J, 4, CFG)
+    st = separate_sparse_expander(J, 4)
     assert st.system.target == J.edges
 
 
 def test_reduce_small_deg_identity_below_floor():
     G = generate("cycle", 20)
-    st, small = reduce_small_deg(G, CFG, seed=0)
+    st, small = reduce_small_deg(G)
     assert st.residual.edges == G.edges and not small
 
 
 def test_reduce_small_deg_runs_dense():
     G = generate("gnp", 60, 0.5, seed=6)
-    st, small = reduce_small_deg(G, CFG, seed=1)
+    st, small = reduce_small_deg(G)
     assert sum(len(F) for F in small) <= 4 * len(G)
     seen = set(st.system.target) | set(st.residual.edges)
     for F in small:
@@ -218,20 +206,20 @@ def test_reduce_small_deg_runs_dense():
 
 def test_reduce_large_deg_partition():
     G = generate("gnp", 40, 0.4, seed=8)
-    st = reduce_large_deg(G, CFG, seed=2)
+    st = reduce_large_deg(G, seed=2)
     assert st.system.target | st.residual.edges == G.edges
 
 
 def test_one_step_accounting():
     G = generate("gnp", 80, 0.4, seed=9)
-    st = one_step(G, CFG, seed=3)
+    st = one_step(G, seed=3)
     assert st.system.target | st.residual.edges == G.edges
     assert not st.system.target & st.residual.edges
 
 
 def test_separate_all_small_graphs():
     for G in (generate("complete", 3), Graph(4, []), generate("path", 5)):
-        system, report = separate_all(G, CFG, seed=0)
+        system, report = separate_all(G, seed=0)
         assert len(system) <= max(1, G.num_edges())
         assert verify_separation(system).ok
 
@@ -242,15 +230,15 @@ def test_separate_all_size_ceiling_and_validity():
         ("grid", generate("grid", 7, 7)),
         ("regular", generate("random_regular", 50, 4, seed=1)),
     ]:
-        system, report = separate_all(G, CFG, seed=0)
+        system, report = separate_all(G, seed=0)
         assert verify_separation(system).ok, desc
         assert len(system) <= G.num_edges(), desc
 
 
 def test_separate_all_deterministic():
     G = generate("gnp", 50, 0.5, seed=14)
-    s1, r1 = separate_all(G, CFG, seed=5)
-    s2, r2 = separate_all(G, CFG, seed=5)
+    s1, r1 = separate_all(G, seed=5)
+    s2, r2 = separate_all(G, seed=5)
     assert [p.vertices for p in s1.paths] == [p.vertices for p in s2.paths]
     assert r1.to_csv() == r2.to_csv()
     assert r1.selected == r2.selected
@@ -258,7 +246,7 @@ def test_separate_all_deterministic():
 
 def test_separate_all_residual_monotone():
     G = generate("gnp", 80, 0.5, seed=15)
-    _, report = separate_all(G, CFG, seed=0)
+    _, report = separate_all(G, seed=0)
     levels = [r for r in report.rows if r[1] == "one-step"]
     sizes = [r[5] for r in levels]
     assert all(b < G.num_edges() for b in sizes[:1])
@@ -268,13 +256,13 @@ def test_separate_all_residual_monotone():
 def test_separate_all_audits_ran():
     reset_audit_counters()
     G = generate("gnp", 60, 0.5, seed=16)
-    separate_all(G, CFG, seed=0)
+    separate_all(G, seed=0)
     assert sum(audit_counters.values()) > 0
 
 
 def test_report_csv_shape():
     G = generate("gnp", 40, 0.4, seed=18)
-    _, report = separate_all(G, CFG, seed=0)
+    _, report = separate_all(G, seed=0)
     lines = report.to_csv().strip().split("\n")
     assert lines[0] == "level,stage_tag,part_count,system_size,fallback_count,residual_edges,elapsed_ms"
     assert any("selected:" in ln for ln in lines)
