@@ -169,10 +169,12 @@ def complete_to_path(prob, trace=None):
     strictly shorter; the measure decreases lexicographically at every
     accepted move. Returns None when stuck with several components.
     """
-    H = prob.host.without(vertices=prob.forbidden_vertices, edges=prob.forbidden_edges)
     chains = [_Chain([("core", list(p.vertices))]) for p in prob.core.paths]
     if not chains:
         return None
+    # a one-path core is its own answer; only joins and reroutes need the host
+    H = (prob.host.without(vertices=prob.forbidden_vertices, edges=prob.forbidden_edges)
+         if len(chains) > 1 else None)
 
     def used_vertices():
         out = set()

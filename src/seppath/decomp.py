@@ -80,25 +80,27 @@ def _extract_long_path(adj):
     # lets us flip the suffix and expose a new endpoint
     rotations = 0
     seen_tails = {path[-1]}
+    pos = {v: i for i, v in enumerate(path)}
     while rotations < 2 * len(path):
         tail = path[-1]
-        pos = {v: i for i, v in enumerate(path)}
         rotated = False
         for u in sorted(adj[tail]):
             i = pos.get(u)
             if i is None or i >= len(path) - 2:
                 continue
-            candidate = path[: i + 1] + path[:i:-1]
-            new_tail = candidate[-1]
+            new_tail = path[i + 1]
             if new_tail in seen_tails:
                 continue
-            path[:] = candidate
+            path[i + 1:] = path[:i:-1]
+            for k in range(i + 1, len(path)):
+                pos[path[k]] = k
             seen_tails.add(new_tail)
             rotations += 1
             rotated = True
+            grown_from = len(path)
             if extend_tail():
-                in_path.clear()
-                in_path.update(path)
+                for k in range(grown_from, len(path)):
+                    pos[path[k]] = k
                 seen_tails = {path[-1]}
             break
         if not rotated:

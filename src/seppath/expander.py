@@ -1,5 +1,6 @@
 """Expansion testing, violation search, recursive expander decomposition."""
 
+import heapq
 import itertools
 import math
 
@@ -105,6 +106,60 @@ def _best_F(G, X, p):
     return frozenset(F), len(mult) - removed
 
 
+class _SweepCut:
+    """
+    A vertex set X grown one vertex at a time, with the X-multiplicity of
+    every outside neighbor kept up to date, so that _best_F's count of
+    neighbors left after the budget is read without recomputing N(X).
+    """
+
+    __slots__ = ("G", "X", "mult")
+
+    def __init__(self, G):
+        self.G = G
+        self.X = set()
+        self.mult = {}    # w outside X -> number of its neighbors in X
+
+    def add(self, v):
+        X, mult = self.X, self.mult
+        X.add(v)
+        mult.pop(v, None)
+        for w in self.G.neighbors(v):
+            if w not in X:
+                mult[w] = mult.get(w, 0) + 1
+
+    def left(self, budget):
+        """_best_F(G, X, p)[1] for an edge budget of p.edge_budget(|X|, n):
+        neighbors are cut off in increasing multiplicity while they fit."""
+        removed = 0
+        if budget:
+            for c in sorted(self.mult.values()):
+                if c > budget:
+                    break
+                budget -= c
+                removed += 1
+        return len(self.mult) - removed
+
+
+def _peel_order(G):
+    """Repeatedly take the vertex of least live degree, least label first."""
+    live_deg = {v: G.degree(v) for v in G.live}
+    heap = [(d, v) for v, d in live_deg.items()]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if live_deg.get(v) != d:
+            continue    # taken already, or its degree has dropped since
+        del live_deg[v]
+        order.append(v)
+        for w in G.neighbors(v):
+            if w in live_deg:
+                live_deg[w] -= 1
+                heapq.heappush(heap, (live_deg[w], w))
+    return order
+
+
 def _check_candidate(G, X, p):
     n = len(G)
     if not (1 <= len(X) <= 2 * n / 3):
@@ -174,34 +229,31 @@ def find_violating_pair(G, p, budget=2000):
             if hit is not None:
                 return hit
 
+    def orders():
+        # lazy: the spectral order is computed only if the peeling sweep fails
+        yield _peel_order(G)
+        yield _spectral_order(G)
+
     evals = 0
-    # low-degree peeling order
-    adj = {v: set(G.neighbors(v)) for v in G.vertices()}
-    peel = []
-    alive = set(adj)
-    while alive:
-        v = min(alive, key=lambda u: (len(adj[u] & alive), u))
-        peel.append(v)
-        alive.discard(v)
-    orders = [peel, _spectral_order(G)]
     best_cut = None
-    for order in orders:
-        X = set()
+    for order in orders():
+        cut = _SweepCut(G)
         for v in order:
-            X.add(v)
-            if len(X) > 2 * n / 3:
+            cut.add(v)
+            size = len(cut.X)
+            if size > 2 * n / 3:
                 break
             evals += 1
             if evals > budget:
                 break
-            hit = _check_candidate(G, X, p)
-            if hit is not None:
-                return hit
+            n_left = cut.left(p.edge_budget(size, n))
+            threshold = p.threshold(size)
+            if n_left < threshold:
+                return (frozenset(cut.X), _best_F(G, cut.X, p)[0])
             # remember the tightest prefix for local improvement
-            F, n_left = _best_F(G, X, p)
-            slack = n_left - p.threshold(len(X))
+            slack = n_left - threshold
             if best_cut is None or slack < best_cut[0]:
-                best_cut = (slack, set(X))
+                best_cut = (slack, set(cut.X))
         if evals > budget:
             break
     if best_cut is not None and evals <= budget:
@@ -213,12 +265,12 @@ def find_violating_pair(G, p, budget=2000):
                 trial = X | {w}
                 if len(trial) > 2 * n / 3:
                     continue
-                hit = _check_candidate(G, trial, p)
-                if hit is not None:
-                    return hit
-                _, n_left = _best_F(G, trial, p)
-                if n_left - p.threshold(len(trial)) < best_cut[0]:
-                    best_cut = (n_left - p.threshold(len(trial)), trial)
+                F, n_left = _best_F(G, trial, p)
+                threshold = p.threshold(len(trial))
+                if n_left < threshold:
+                    return (frozenset(trial), F)
+                if n_left - threshold < best_cut[0]:
+                    best_cut = (n_left - threshold, trial)
                     X = trial
                     improved = True
                     break

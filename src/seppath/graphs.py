@@ -190,11 +190,14 @@ def neighborhood(G, X):
 def ball(G, X, i):
     """B^i_G(X): vertices within distance i of X."""
     cur = set(X)
+    frontier = list(cur)
     for _ in range(i):
-        nxt = neighborhood(G, cur)
+        # a vertex at distance k + 1 is a neighbor of one at distance k
+        nxt = {w for v in frontier for w in G.neighbors(v) if w not in cur}
         if not nxt:
             break
         cur |= nxt
+        frontier = nxt
     return cur
 
 

@@ -93,6 +93,27 @@ def test_complete_single_edge():
     assert set(p.edges()) == {(0, 1)}
 
 
+def test_complete_one_path_core_builds_no_graph(monkeypatch):
+    # a one-path core is returned as it is; no filtered host is built
+    G = generate("complete", 8)
+    prob = CompletionProblem(G, [Path([0, 1, 2])], forbidden_edges=[(3, 4)],
+                             forbidden_vertices=[5])
+    builds = []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    p = complete_to_path(prob)
+    assert p == Path([0, 1, 2])
+    assert not builds
+    # a two-path core still builds its host
+    assert complete_to_path(CompletionProblem(G, [Path([0, 1]), Path([2, 3])]))
+    assert builds
+
+
 def test_complete_c4_matching():
     G = generate("cycle", 4)
     prob = CompletionProblem(G, [Path([0, 1]), Path([2, 3])])

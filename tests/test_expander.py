@@ -4,12 +4,17 @@ import pytest
 
 from seppath.expander import (
     ExpanderParams,
+    _best_F,
+    _peel_order,
+    _spectral_order,
+    _SweepCut,
     certify_expander_exhaustive,
     expander_decompose,
     find_violating_pair,
     is_expander_violation,
 )
 from seppath.graphs import Graph, generate
+from test_pinned_outputs import three_block_graph
 
 EPS = 1.0 / 48
 
@@ -110,3 +115,40 @@ def test_find_deterministic():
     G = generate("gnp", 40, 0.08, seed=13)
     p = ExpanderParams(EPS, s=1, t=10)
     assert find_violating_pair(G, p) == find_violating_pair(G, p)
+
+
+def quadratic_peel_order(G):
+    # reference: scan every live vertex for the least (live degree, label)
+    adj = {v: set(G.neighbors(v)) for v in G.vertices()}
+    order = []
+    alive = set(adj)
+    while alive:
+        v = min(alive, key=lambda u: (len(adj[u] & alive), u))
+        order.append(v)
+        alive.discard(v)
+    return order
+
+
+SWEEP_GRAPHS = ([generate("gnp", n, q, seed=s) for n, q in ((30, 0.2), (60, 0.1), (80, 0.3))
+                 for s in range(2)]
+                + [three_block_graph(s) for s in (1001, 1002)]
+                + [generate("gnp", 40, 0.1, seed=4).without(vertices=range(10))])
+
+
+def test_peel_order_matches_quadratic_scan():
+    for G in SWEEP_GRAPHS + [generate("grid", 5, 6), generate("star", 9), Graph(5, [])]:
+        assert _peel_order(G) == quadratic_peel_order(G)
+
+
+def test_sweep_left_matches_best_F_on_every_prefix():
+    # the incremental count against _best_F's from-scratch N(X)
+    for G in SWEEP_GRAPHS:
+        n = len(G)
+        for s in (0, 2, 8):
+            p = ExpanderParams(EPS, s=s, t=max(1, n // 3))
+            for order in (_peel_order(G), _spectral_order(G)):
+                cut = _SweepCut(G)
+                for v in order:
+                    cut.add(v)
+                    budget = p.edge_budget(len(cut.X), n)
+                    assert cut.left(budget) == _best_F(G, cut.X, p)[1]

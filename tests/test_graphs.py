@@ -1,3 +1,4 @@
+import random
 from collections import deque
 
 import pytest
@@ -82,6 +83,25 @@ def test_ball_matches_bfs_oracle_and_is_monotone(G, i):
     assert ball(G, X, i) == bfs_ball_oracle(G, X, i)
     assert ball(G, X, i) <= ball(G, X, i + 1)
     assert ball(G, X, 0) == X
+
+
+def test_ball_equals_repeated_neighborhood():
+    # reference: the definition, N(X) added to X once per radius step
+    def repeated_neighborhood(G, X, i):
+        cur = set(X)
+        for _ in range(i):
+            cur |= neighborhood(G, cur)
+        return cur
+
+    graphs = [generate("gnp", 40, p, seed=s) for p in (0.03, 0.06, 0.15) for s in range(3)]
+    graphs += [generate("grid", 6, 7), generate("path", 12),
+               Graph(9, [(0, 1), (1, 2), (4, 5)]).without(vertices={7})]
+    rng = random.Random(3)
+    for G in graphs:
+        for size in (1, 2, 5):
+            X = set(rng.sample(sorted(G.live), size))
+            for i in range(7):
+                assert ball(G, X, i) == repeated_neighborhood(G, X, i)
 
 
 @given(small_graphs())
