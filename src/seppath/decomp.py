@@ -24,14 +24,18 @@ class PathDecomposition:
         self.host = host
         index = {}
         for pid, p in enumerate(self.paths):
-            if not p.valid_in(host):
-                raise ValueError("path %r not valid in host" % (p,))
             for e in p.edges():
                 if e in index:
                     raise ValueError("edge %r covered twice" % (e,))
                 index[e] = pid
-        if set(index) != set(host.edges):
-            missing = set(host.edges) - set(index)
+        # a simple path whose edges are all host edges is valid in the host:
+        # each of its vertices lies on one of those edges, so it is live
+        if index.keys() != host.edges:
+            extra = index.keys() - host.edges
+            if extra:
+                bad = self.paths[min(index[e] for e in extra)]
+                raise ValueError("path %r not valid in host" % (bad,))
+            missing = host.edges - index.keys()
             raise ValueError("decomposition misses %d edges" % len(missing))
         self.index = index
 
@@ -43,12 +47,6 @@ class PathDecomposition:
 
     def path_id_of(self, e):
         return self.index[canonical_edge(*e)]
-
-
-def _avg_degree(adj):
-    if not adj:
-        return 0.0
-    return sum(len(ns) for ns in adj.values()) / len(adj)
 
 
 def _extract_long_path(adj):
@@ -64,13 +62,18 @@ def _extract_long_path(adj):
     def extend_tail():
         grown = False
         while True:
-            tail = path[-1]
-            cand = [w for w in adj[tail] if w not in in_path]
-            if not cand:
+            # the unused neighbor of highest degree, ties to the least label
+            best = None
+            for w in adj[path[-1]]:
+                if w in in_path:
+                    continue
+                deg = len(adj[w])
+                if best is None or deg > best_deg or (deg == best_deg and w < best):
+                    best, best_deg = w, deg
+            if best is None:
                 return grown
-            w = max(cand, key=lambda v: (len(adj[v]), -v))
-            path.append(w)
-            in_path.add(w)
+            path.append(best)
+            in_path.add(best)
             grown = True
 
     extend_tail()
@@ -234,19 +237,21 @@ def _decompose_component(comp_edges):
         adj[u].add(v)
         adj[v].add(u)
     long_paths = []
-    while _avg_degree({v: ns for v, ns in adj.items() if ns}) > DENSE_THRESHOLD:
-        live = {v: ns for v, ns in adj.items() if ns}
-        p = _extract_long_path(live)
+    # the average degree over the vertices that still have edges, as counts
+    edges_left, touched = len(comp_edges), len(adj)
+    while touched and 2 * edges_left / touched > DENSE_THRESHOLD:
+        p = _extract_long_path(adj)
         if len(p) < 2:
             break
         long_paths.append(p)
-        for v in list(adj):
-            adj[v] = live.get(v, set())
-    # Euler route on the sparse remainder, component by component
+        edges_left -= len(p) - 1
+        touched -= sum(1 for v in p if not adj[v])
+    # Euler route on the sparse remainder, component by component; each
+    # circuit consumes every edge of its component
     paths, cycles = [], []
-    remaining = {v for v in adj if adj[v]}
-    while remaining:
-        seed = min(remaining)
+    for seed in sorted(v for v in adj if adj[v]):
+        if not adj[seed]:
+            continue
         comp = {seed}
         frontier = [seed]
         while frontier:
@@ -275,7 +280,6 @@ def _decompose_component(comp_edges):
             ps, cs = _split_trail(t)
             paths.extend(ps)
             cycles.extend(cs)
-        remaining = {v for v in remaining if adj[v] and v != VIRTUAL}
         adj.pop(VIRTUAL, None)
     pieces = _absorb_cycles(paths, cycles)
     return _merge_pass(long_paths + pieces)
@@ -288,13 +292,15 @@ def decompose_into_paths(G):
     trails split into simple pieces, cycle absorption, and an end-to-end merge
     pass. Exceeding the n bound is a hard defect, not a recoverable error.
     """
+    comps = G.components()
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    buckets = [[] for _ in comps]
+    for e in G.edges:
+        buckets[comp_of[e[0]]].append(e)
     all_paths = []
-    for comp in G.components():
-        cset = set(comp)
-        comp_edges = sorted(e for e in G.edges if e[0] in cset and e[1] in cset)
-        if not comp_edges:
-            continue
-        all_paths.extend(_decompose_component(comp_edges))
+    for bucket in buckets:
+        if bucket:
+            all_paths.extend(_decompose_component(sorted(bucket)))
     if len(all_paths) > len(G):
         raise AssertionError(
             "path decomposition produced %d > n = %d paths" % (len(all_paths), len(G))

@@ -302,7 +302,7 @@ def expander_decompose(G, p, budget=2000):
         X, F = viol
         if not is_expander_violation(H, X, F, p):
             raise AssertionError("search returned a non-violation")
-        N = neighborhood(H.without(edges=F), X)
+        N = neighborhood(H, X, cut=F)
         G1 = H.induced(X | N)
         inside_N = {e for e in H.edges if e[0] in N and e[1] in N}
         G2 = H.without(vertices=X, edges=inside_N)

@@ -143,7 +143,7 @@ class Path:
 
     def edges(self):
         vs = self.vertices
-        return [canonical_edge(vs[i], vs[i + 1]) for i in range(len(vs) - 1)]
+        return [(a, b) if a < b else (b, a) for a, b in zip(vs, vs[1:])]
 
     def ends(self):
         return (self.vertices[0], self.vertices[-1])
@@ -176,13 +176,14 @@ class PathForest:
         return {e for p in self.paths for e in p.edges()}
 
 
-def neighborhood(G, X):
-    """N_G(X): vertices outside X with a neighbor in X."""
+def neighborhood(G, X, cut=frozenset()):
+    """N_{G-cut}(X): vertices outside X with a neighbor in X, not counting
+    the edges of cut (canonical pairs)."""
     X = set(X)
     out = set()
     for v in X:
         for w in G.neighbors(v):
-            if w not in X:
+            if w not in X and (not cut or canonical_edge(v, w) not in cut):
                 out.add(w)
     return out
 

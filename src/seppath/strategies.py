@@ -173,7 +173,7 @@ def build_matchings_spread(G, decomp, d, r0, cap):
     """
     zone_cache = {}
     zone_mask = {v: 0 for v in G.live}
-    counts = []
+    full = 0  # bitmask of the matchings that hold d edges
     out = []
     leftovers = []
     for e in sorted(G.edges):
@@ -185,22 +185,19 @@ def build_matchings_spread(G, decomp, d, r0, cap):
         conflict = 0
         for v in pv:
             conflict |= zone_mask[v]
-        slot = None
-        for i in range(len(out)):
-            if counts[i] < d and not (conflict >> i) & 1:
-                slot = i
-                break
-        if slot is None:
+        # the first matching that is neither full nor in conflict
+        taken = conflict | full
+        slot = (~taken & (taken + 1)).bit_length() - 1
+        if slot == len(out):
             if len(out) < cap:
-                slot = len(out)
                 out.append([])
-                counts.append(0)
             else:
                 leftovers.append(e)
                 continue
         out[slot].append(e)
-        counts[slot] += 1
         bit = 1 << slot
+        if len(out[slot]) >= d:
+            full |= bit
         for v in zone_cache[pid]:
             zone_mask[v] |= bit
     return out, leftovers

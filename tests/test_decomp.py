@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -5,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seppath.decomp import PathDecomposition, decompose_into_bounded_paths, decompose_into_paths
+from seppath.decomp import (
+    PathDecomposition,
+    _decompose_component,
+    decompose_into_bounded_paths,
+    decompose_into_paths,
+)
 from seppath.graphs import Graph, Path, generate
 
 
@@ -76,10 +82,17 @@ def test_bounded_path10_d3():
 
 def test_path_decomposition_rejects_bad_cover():
     G = generate("path", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="misses"):
         PathDecomposition([Path([0, 1])], G)  # misses edge 12
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="twice"):
         PathDecomposition([Path([0, 1]), Path([0, 1, 2])], G)  # covers 01 twice
+    with pytest.raises(ValueError, match="not valid"):
+        PathDecomposition([Path([0, 2])], G)  # 02 is not an edge
+    with pytest.raises(ValueError, match="not valid"):
+        PathDecomposition([Path([0, 1, 2]), Path([0, 2])], G)  # full cover plus 02
+    with pytest.raises(ValueError, match="not valid"):
+        # 3 is a dead vertex of the host
+        PathDecomposition([Path([0, 1, 2, 3])], generate("path", 4).induced([0, 1, 2]))
 
 
 def test_bound_corpus_1000():
@@ -109,3 +122,76 @@ def test_decompose_deterministic(n, p, seed):
     a = decompose_into_paths(G)
     b = decompose_into_paths(G)
     assert [q.vertices for q in a.paths] == [q.vertices for q in b.paths]
+
+
+def decompose_by_filter(G):
+    """The per-component decomposition as it was first written, kept as a
+    reference: one scan of E(G) for each connected component."""
+    out = []
+    for comp in G.components():
+        cset = set(comp)
+        comp_edges = sorted(e for e in G.edges if e[0] in cset and e[1] in cset)
+        if comp_edges:
+            out.extend(_decompose_component(comp_edges))
+    return out
+
+
+def relabel(G, seed):
+    perm = list(range(G.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(G.n, [(perm[u], perm[v]) for u, v in G.edges])
+
+
+def bitcode_subgraphs(G):
+    """The bit-set and bit-unset subgraphs that baseline_nlogn decomposes:
+    every vertex stays live, so most components are isolated vertices."""
+    edges = sorted(G.edges)
+    for b in range(max(1, (len(edges) - 1).bit_length())):
+        for want in (1, 0):
+            sub = [e for i, e in enumerate(edges) if (i >> b) & 1 == want]
+            yield Graph(G.n, sub, live=G.live)
+
+
+def disjoint_gnp_union(seed, parts=12):
+    rng = random.Random(seed)
+    edges, base = [], 0
+    for _ in range(parts):
+        H = generate("gnp", rng.randint(1, 12), rng.choice([0.2, 0.5, 0.9]),
+                     seed=rng.randint(0, 10**9))
+        edges += [(base + u, base + v) for u, v in H.edges]
+        base += H.n
+    return Graph(base, edges)
+
+
+def many_component_graphs():
+    yield from bitcode_subgraphs(relabel(generate("hypercube", 7), 7))
+    yield from bitcode_subgraphs(generate("grid", 12, 12))
+    union = disjoint_gnp_union(5)
+    yield union
+    yield from bitcode_subgraphs(union)
+
+
+def test_decompose_matches_per_component_filter():
+    count = 0
+    for G in many_component_graphs():
+        D = decompose_into_paths(G)
+        assert [list(p.vertices) for p in D.paths] == decompose_by_filter(G)
+        count += len(G.components())
+    assert count > 1000
+
+
+def test_decompositions_pinned():
+    # sparse graphs with many components and dense ones that shed long
+    # greedy paths first; a change to any decomposition path shows here
+    rng = random.Random(2718)
+    graphs = list(many_component_graphs())
+    for _ in range(80):
+        n = rng.randint(2, 60)
+        p = rng.choice([0.05, 0.2, 0.5, 0.8])
+        graphs.append(generate("gnp", n, p, seed=rng.randint(0, 10**9)))
+    h = hashlib.sha256()
+    for G in graphs:
+        for p in decompose_into_paths(G).paths:
+            h.update(repr(p.vertices).encode())
+    assert h.hexdigest() == (
+        "c3cabd980a7db225c495294b9e011ba243a87b01d45e1e337440640c075a9cec")

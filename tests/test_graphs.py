@@ -104,6 +104,16 @@ def test_ball_equals_repeated_neighborhood():
                 assert ball(G, X, i) == repeated_neighborhood(G, X, i)
 
 
+def test_neighborhood_with_cut_equals_neighborhood_in_graph_without_cut():
+    rng = random.Random(4)
+    for s in range(30):
+        G = generate("gnp", 30, rng.choice([0.05, 0.15, 0.4]), seed=s)
+        edges = sorted(G.edges)
+        X = set(rng.sample(sorted(G.live), rng.randint(1, 12)))
+        cut = frozenset(rng.sample(edges, rng.randint(0, len(edges))))
+        assert neighborhood(G, X, cut=cut) == neighborhood(G.without(edges=cut), X)
+
+
 @given(small_graphs())
 def test_neighborhood_disjoint_from_x(G):
     X = set(list(G.live)[: len(G.live) // 2])

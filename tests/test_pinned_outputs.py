@@ -1,8 +1,9 @@
 """Outputs pinned by SHA-256 digest. A refactor that is meant to keep the
 pipeline's behaviour must keep these digests; any change to a system or a
-report shows here. The four cases run the sparse-expander completion
-(inside separate_all), the dense tripartition, the high-degree completion
-and the dense stage reached through separate_all."""
+report shows here. The five cases run the sparse-expander completion
+(inside separate_all), the dense tripartition, the high-degree completion,
+the dense stage reached through separate_all, and a sparse graph whose
+bit-code baseline decomposes subgraphs of many components."""
 
 import hashlib
 import random
@@ -14,6 +15,7 @@ from seppath.strategies import (
     separate_dense_expander,
     separate_high_degree,
 )
+from test_decomp import relabel
 
 
 def digest(text):
@@ -79,3 +81,11 @@ def test_separate_all_dense_stage_pinned():
     system, report = separate_all(three_block_graph(1001), seed=1001)
     assert digest(system_to_text(system) + report.to_csv()) == (
         "f0c713d06a19835055dfe388cbb247b00e5fe7748f0d560f2be9ce91136b8570")
+
+
+def test_separate_all_sparse_bitcode_pinned():
+    # a relabelled hypercube(8) lies below the degree floor, so the bit-code
+    # baseline decomposes 16 subgraphs with every vertex live
+    system, report = separate_all(relabel(generate("hypercube", 8), 8), seed=8)
+    assert digest(system_to_text(system) + report.to_csv()) == (
+        "b59be3bbcfd8e1577d1ba2608927f282364c91629758931a0884620a96252916")

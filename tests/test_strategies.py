@@ -4,7 +4,7 @@ import random
 import pytest
 
 from seppath.decomp import decompose_into_bounded_paths, decompose_into_paths
-from seppath.graphs import Graph, generate
+from seppath.graphs import Graph, ball, generate
 from seppath.separation import verify_separation
 from seppath.strategies import (
     audit_counters,
@@ -122,6 +122,50 @@ def test_spread_matchings_corpus_audit():
         covered = sorted(e for m in M for e in m) + sorted(left)
         assert sorted(covered) == sorted(G.edges)
         assert audit_matchings_spread(G, D.paths, M, d, 2)
+
+
+def spread_matchings_by_scan(G, decomp, d, r0, cap):
+    """build_matchings_spread with a linear scan over the matchings for
+    each edge, kept as a reference for its bitmask slot choice."""
+    zones = {}
+    zone_mask = {v: 0 for v in G.live}
+    out, leftovers = [], []
+    for e in sorted(G.edges):
+        pid = decomp.path_id_of(e)
+        pv = decomp.paths[pid].vertices
+        if pid not in zones:
+            zones[pid] = ball(G, set(pv), 2 * r0 - 1)
+        conflict = 0
+        for v in pv:
+            conflict |= zone_mask[v]
+        slot = next((i for i in range(len(out))
+                     if len(out[i]) < d and not (conflict >> i) & 1), None)
+        if slot is None:
+            if len(out) == cap:
+                leftovers.append(e)
+                continue
+            slot = len(out)
+            out.append([])
+        out[slot].append(e)
+        for v in zones[pid]:
+            zone_mask[v] |= 1 << slot
+    return out, leftovers
+
+
+def test_spread_matchings_match_linear_scan():
+    rng = random.Random(8)
+    for trial in range(40):
+        n = rng.randint(5, 50)
+        G = generate("gnp", n, rng.choice([0.05, 0.1, 0.3, 0.6]), seed=300 + trial)
+        if not G.edges:
+            continue
+        d = rng.randint(1, 6)
+        D = decompose_into_bounded_paths(G, rng.randint(1, 5))
+        r0 = rng.randint(1, 2)
+        # a small cap sends edges to the leftovers
+        for cap in (rng.randint(1, 4), 3 * n):
+            assert (build_matchings_spread(G, D, d, r0, cap)
+                    == spread_matchings_by_scan(G, D, d, r0, cap))
 
 
 def test_short_path_unions_l2_empty():
