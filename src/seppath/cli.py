@@ -64,7 +64,7 @@ def paths_from_text(text):
         if not line:
             continue
         if line.startswith("#"):
-            if SYSTEM_FORMAT in line:
+            if line[1:].strip() == SYSTEM_FORMAT:
                 version_seen = True
             continue
         try:

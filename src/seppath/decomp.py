@@ -300,7 +300,7 @@ def decompose_into_paths(G):
     all_paths = []
     for bucket in buckets:
         if bucket:
-            all_paths.extend(_decompose_component(sorted(bucket)))
+            all_paths.extend(_decompose_component(bucket))
     if len(all_paths) > len(G):
         raise AssertionError(
             "path decomposition produced %d > n = %d paths" % (len(all_paths), len(G))

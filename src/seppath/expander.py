@@ -9,6 +9,7 @@ import numpy as np
 from .graphs import neighborhood
 
 EXHAUSTIVE_MAX_N = 14
+SEARCH_BUDGET = 2000  # candidate sets one heuristic violation search may try
 SPECTRAL_SEED = 12345
 SPECTRAL_ITERS = 50
 
@@ -197,7 +198,7 @@ def _spectral_order(G):
     return [v for _, v in sorted(zip(score, verts), key=lambda sv: (sv[0], sv[1]))]
 
 
-def find_violating_pair(G, p, budget=2000):
+def find_violating_pair(G, p):
     """
     Heuristic search for a non-expansion certificate. Tries component splits,
     low-degree peeling prefixes, spectral sweep cuts, and local improvement;
@@ -244,7 +245,7 @@ def find_violating_pair(G, p, budget=2000):
             if size > 2 * n / 3:
                 break
             evals += 1
-            if evals > budget:
+            if evals > SEARCH_BUDGET:
                 break
             n_left = cut.left(p.edge_budget(size, n))
             threshold = p.threshold(size)
@@ -254,11 +255,11 @@ def find_violating_pair(G, p, budget=2000):
             slack = n_left - threshold
             if best_cut is None or slack < best_cut[0]:
                 best_cut = (slack, set(cut.X))
-        if evals > budget:
+        if evals > SEARCH_BUDGET:
             break
-    if best_cut is not None and evals <= budget:
+    if best_cut is not None and evals <= SEARCH_BUDGET:
         X = set(best_cut[1])
-        for _ in range(min(2 * n, budget - evals)):
+        for _ in range(min(2 * n, SEARCH_BUDGET - evals)):
             boundary = sorted(neighborhood(G, X))
             improved = False
             for w in boundary:
@@ -279,7 +280,7 @@ def find_violating_pair(G, p, budget=2000):
     return None
 
 
-def expander_decompose(G, p, budget=2000):
+def expander_decompose(G, p):
     """
     Recursive decomposition: split on any violation (X, F) into
     G1 = G[X u N_{G-F}(X)] and G2 = (G - X) minus the edges inside the
@@ -295,7 +296,7 @@ def expander_decompose(G, p, budget=2000):
             H = H.without(vertices=isolated)
         if len(H) <= 1 or not H.edges:
             continue
-        viol = find_violating_pair(H, p, budget)
+        viol = find_violating_pair(H, p)
         if viol is None:
             parts.append(H)
             continue

@@ -145,9 +145,6 @@ class Path:
         vs = self.vertices
         return [(a, b) if a < b else (b, a) for a, b in zip(vs, vs[1:])]
 
-    def ends(self):
-        return (self.vertices[0], self.vertices[-1])
-
     def valid_in(self, G):
         vs = self.vertices
         return all(v in G.live for v in vs) and all(

@@ -107,31 +107,53 @@ def _bucket_quota(r):
     return math.ceil((2 ** r) / 200.0)
 
 
+def _first_fit(items, cap, limits):
+    """
+    First-fit placement into at most cap slots. Each item comes as
+    (item, check, mark): it goes to the lowest slot in which no key of check
+    is used up, and then uses up the keys of mark there. A key is used up in
+    a slot by its first use, or by its limits[key]-th use when limits names
+    it. An item that fits no slot while cap slots are open is a leftover.
+    Each key keeps the bitmask of the slots it has used up, so a placement
+    costs one OR per key. Returns (slots, leftovers), each slot a list of
+    items in placement order.
+    """
+    used = {}
+    uses = Counter()  # (key, slot) -> placements, for the keys in limits
+    slots = []
+    leftovers = []
+    for item, check, mark in items:
+        taken = 0
+        for k in check:
+            taken |= used.get(k, 0)
+        slot = (~taken & (taken + 1)).bit_length() - 1
+        if slot == len(slots):
+            if slot >= cap:
+                leftovers.append(item)
+                continue
+            slots.append([])
+        slots[slot].append(item)
+        bit = 1 << slot
+        for k in mark:
+            if k in limits:
+                uses[k, slot] += 1
+                if uses[k, slot] < limits[k]:
+                    continue
+            used[k] = used.get(k, 0) | bit
+    return slots, leftovers
+
+
 def build_matchings_basic(Gp, decomp, cap):
     """
     Greedy matchings covering E(Gp), each meeting every decomposition path in
     at most one edge. Returns (matchings, leftovers) where leftovers are the
     edges that did not fit under the cap.
     """
-    matchings = []
-    leftovers = []
+    items = []
     for e in sorted(Gp.edges):
-        pid = decomp.path_id_of(e)
-        placed = False
-        for m in matchings:
-            if e[0] in m["verts"] or e[1] in m["verts"] or pid in m["pids"]:
-                continue
-            m["edges"].append(e)
-            m["verts"].update(e)
-            m["pids"].add(pid)
-            placed = True
-            break
-        if not placed:
-            if len(matchings) < cap:
-                matchings.append({"edges": [e], "verts": set(e), "pids": {pid}})
-            else:
-                leftovers.append(e)
-    return [m["edges"] for m in matchings], leftovers
+        keys = (e[0], e[1], ("path", decomp.path_id_of(e)))
+        items.append((e, keys, keys))
+    return _first_fit(items, cap, {})
 
 
 def build_matchings_degree(Gp, decomp, dbar, cap):
@@ -139,78 +161,40 @@ def build_matchings_degree(Gp, decomp, dbar, cap):
     As build_matchings_basic, plus a dyadic degree budget: each matching holds
     at most ceil(2^r/200) edges whose min endpoint degree lies in [2^(r-1), 2^r).
     """
-    matchings = []
-    leftovers = []
+    items = []
+    limits = {}
     for e in sorted(Gp.edges):
-        pid = decomp.path_id_of(e)
-        r = _bucket(dbar[e])
-        quota = _bucket_quota(r)
-        placed = False
-        for m in matchings:
-            if (e[0] in m["verts"] or e[1] in m["verts"] or pid in m["pids"]
-                    or m["buckets"][r] >= quota):
-                continue
-            m["edges"].append(e)
-            m["verts"].update(e)
-            m["pids"].add(pid)
-            m["buckets"][r] += 1
-            placed = True
-            break
-        if not placed:
-            if len(matchings) < cap:
-                matchings.append({"edges": [e], "verts": set(e), "pids": {pid},
-                                  "buckets": Counter({r: 1})})
-            else:
-                leftovers.append(e)
-    return [m["edges"] for m in matchings], leftovers
+        bucket = ("bucket", _bucket(dbar[e]))
+        limits[bucket] = _bucket_quota(bucket[1])
+        keys = (e[0], e[1], ("path", decomp.path_id_of(e)), bucket)
+        items.append((e, keys, keys))
+    return _first_fit(items, cap, limits)
 
 
 def build_matchings_spread(G, decomp, d, r0, cap):
     """
     Matchings of at most d edges whose decomposition paths are pairwise at
-    distance >= 2*r0 in G. Conflict zones are tracked per vertex as matching
-    bitmasks so placement stays near-linear.
+    distance >= 2*r0 in G: an edge checks its path's vertices and marks the
+    path's zone, the ball of radius 2*r0-1 around it.
     """
-    zone_cache = {}
-    zone_mask = {v: 0 for v in G.live}
-    full = 0  # bitmask of the matchings that hold d edges
-    out = []
-    leftovers = []
+    keys = {}  # pid -> (check, mark)
+    items = []
     for e in sorted(G.edges):
         pid = decomp.path_id_of(e)
-        if pid not in zone_cache:
-            pv = set(decomp.paths[pid].vertices)
-            zone_cache[pid] = ball(G, pv, 2 * r0 - 1)
-        pv = decomp.paths[pid].vertices
-        conflict = 0
-        for v in pv:
-            conflict |= zone_mask[v]
-        # the first matching that is neither full nor in conflict
-        taken = conflict | full
-        slot = (~taken & (taken + 1)).bit_length() - 1
-        if slot == len(out):
-            if len(out) < cap:
-                out.append([])
-            else:
-                leftovers.append(e)
-                continue
-        out[slot].append(e)
-        bit = 1 << slot
-        if len(out[slot]) >= d:
-            full |= bit
-        for v in zone_cache[pid]:
-            zone_mask[v] |= bit
-    return out, leftovers
+        if pid not in keys:
+            pv = decomp.paths[pid].vertices
+            zone = ball(G, set(pv), 2 * r0 - 1)
+            keys[pid] = (tuple(pv) + ("size",), tuple(zone) + ("size",))
+        items.append((e,) + keys[pid])
+    return _first_fit(items, cap, {"size": d})
 
 
-def build_short_path_unions(H1, decomp, L1, L2, d, cap):
+def _union_members(H1, decomp, L1, L2):
     """
-    Members: for each u in L2, cyclic 2-paths v_i-u-v_(i+1) over its L1
-    neighbors (each u-v edge covered twice), ordered so consecutive edges lie
-    in different decomposition paths whenever possible; plus the single edges
-    inside L1. Groups: at most cap groups of <= d members, vertex-disjoint
-    within a group, meeting each decomposition path in at most one edge.
-    Returns (groups, leftover_members).
+    For each u in L2, cyclic 2-paths v_i-u-v_(i+1) over its L1 neighbors
+    (each u-v edge covered twice), ordered so consecutive edges lie in
+    different decomposition paths whenever possible; then the single edges
+    inside L1.
     """
     members = []
     for u in sorted(L2):
@@ -232,27 +216,22 @@ def build_short_path_unions(H1, decomp, L1, L2, d, cap):
     for e in sorted(H1.edges):
         if e[0] in L1 and e[1] in L1:
             members.append(e)
-    groups = []
-    leftovers = []
-    for m in members:
-        edges = [(m[i], m[i + 1]) for i in range(len(m) - 1)]
-        pids = {decomp.path_id_of(e) for e in edges}
-        placed = False
-        for g in groups:
-            if (len(g["members"]) >= d or set(m) & g["verts"]
-                    or pids & g["pids"]):
-                continue
-            g["members"].append(m)
-            g["verts"].update(m)
-            g["pids"].update(pids)
-            placed = True
-            break
-        if not placed:
-            if len(groups) < cap:
-                groups.append({"members": [m], "verts": set(m), "pids": set(pids)})
-            else:
-                leftovers.append(m)
-    return [g["members"] for g in groups], leftovers
+    return members
+
+
+def build_short_path_unions(H1, decomp, L1, L2, d, cap):
+    """
+    Groups the members of _union_members: at most cap groups of <= d members,
+    vertex-disjoint within a group, meeting each decomposition path in at
+    most one edge. Returns (groups, leftover_members).
+    """
+    items = []
+    for m in _union_members(H1, decomp, L1, L2):
+        pids = {("path", decomp.path_id_of((m[i], m[i + 1])))
+                for i in range(len(m) - 1)}
+        keys = (*m, *pids, "size")
+        items.append((m, keys, keys))
+    return _first_fit(items, cap, {"size": d})
 
 
 def _interleave_by_path(u, nbrs, decomp):

@@ -99,6 +99,17 @@ def test_verify_failure_prints_witness(tmp_path, capsys):
     assert "witness" in capsys.readouterr().out
 
 
+def test_verify_rejects_near_miss_headers(tmp_path):
+    g = tmp_path / "g.edges"
+    s = tmp_path / "s"
+    run(["gen", "path", "3", "--out", str(g)])
+    for header in ("# seppath-system v12", "# not a seppath-system v1 file"):
+        s.write_text(header + "\n0 1\n1 2\n")
+        assert run(["verify", "--graph", str(g), "--system", str(s)]) == 2
+    s.write_text("#  seppath-system v1 \n0 1\n1 2\n")
+    assert run(["verify", "--graph", str(g), "--system", str(s)]) == 0
+
+
 def test_verify_weak_mode_of_strong_system(tmp_path):
     g = tmp_path / "g.edges"
     s = tmp_path / "s"

@@ -195,3 +195,22 @@ def test_decompositions_pinned():
             h.update(repr(p.vertices).encode())
     assert h.hexdigest() == (
         "c3cabd980a7db225c495294b9e011ba243a87b01d45e1e337440640c075a9cec")
+
+
+def test_component_decomposition_ignores_edge_order():
+    # every choice in _decompose_component is a min, a max on a unique key or
+    # a sort, so the order of its edge list must not change its paths
+    rng = random.Random(31)
+    graphs = [generate("hypercube", 8), generate("grid", 20, 20)]
+    graphs += [random_graph(rng, n_max=60) for _ in range(120)]
+    for G in graphs:
+        for comp in G.components():
+            cset = set(comp)
+            edges = sorted(e for e in G.edges if e[0] in cset)
+            if not edges:
+                continue
+            expected = _decompose_component(edges)
+            shuffled = list(edges)
+            rng.shuffle(shuffled)
+            assert _decompose_component(shuffled) == expected
+            assert _decompose_component(edges[::-1]) == expected

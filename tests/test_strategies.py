@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,6 +8,10 @@ from seppath.decomp import decompose_into_bounded_paths, decompose_into_paths
 from seppath.graphs import Graph, ball, generate
 from seppath.separation import verify_separation
 from seppath.strategies import (
+    _bucket,
+    _bucket_quota,
+    _first_fit,
+    _union_members,
     audit_counters,
     audit_groups,
     audit_matchings_basic,
@@ -26,6 +31,7 @@ from seppath.strategies import (
     separate_high_degree,
     separate_sparse_expander,
 )
+from test_pinned_outputs import four_hub_graph
 
 
 def test_iterated_log_values():
@@ -166,6 +172,110 @@ def test_spread_matchings_match_linear_scan():
         for cap in (rng.randint(1, 4), 3 * n):
             assert (build_matchings_spread(G, D, d, r0, cap)
                     == spread_matchings_by_scan(G, D, d, r0, cap))
+
+
+def test_first_fit_limits():
+    # key "a" allows two uses per slot, key "b" one
+    items = [(i, ("a",), ("a",)) for i in range(5)] + [(9, ("b",), ("b",))]
+    assert _first_fit(items, 10, {"a": 2}) == ([[0, 1, 9], [2, 3], [4]], [])
+    # check and mark differ: 1 does not check "x", 2 does
+    items = [(0, (), ("x",)), (1, (), ("x",)), (2, ("x",), ())]
+    assert _first_fit(items, 2, {}) == ([[0, 1], [2]], [])
+    assert _first_fit(items, 1, {}) == ([[0, 1]], [2])
+    assert _first_fit(items, 0, {}) == ([], [0, 1, 2])
+
+
+def matchings_by_scan(Gp, decomp, cap, dbar=None):
+    """build_matchings_basic, or build_matchings_degree when dbar is given,
+    as a scan over each open matching's vertex, path and bucket sets, kept
+    as a reference for the bitmask slot choice."""
+    matchings = []
+    leftovers = []
+    for e in sorted(Gp.edges):
+        pid = decomp.path_id_of(e)
+        r = _bucket(dbar[e]) if dbar else None
+        for m in matchings:
+            if (e[0] in m["verts"] or e[1] in m["verts"] or pid in m["pids"]
+                    or (dbar and m["buckets"][r] >= _bucket_quota(r))):
+                continue
+            break
+        else:
+            if len(matchings) >= cap:
+                leftovers.append(e)
+                continue
+            m = {"edges": [], "verts": set(), "pids": set(), "buckets": Counter()}
+            matchings.append(m)
+        m["edges"].append(e)
+        m["verts"].update(e)
+        m["pids"].add(pid)
+        m["buckets"][r] += 1
+    return [m["edges"] for m in matchings], leftovers
+
+
+def groups_by_scan(H1, decomp, L1, L2, d, cap):
+    """build_short_path_unions as a scan over each open group's sets."""
+    groups = []
+    leftovers = []
+    for m in _union_members(H1, decomp, L1, L2):
+        edges = [(m[i], m[i + 1]) for i in range(len(m) - 1)]
+        pids = {decomp.path_id_of(e) for e in edges}
+        for g in groups:
+            if (len(g["members"]) >= d or set(m) & g["verts"]
+                    or pids & g["pids"]):
+                continue
+            break
+        else:
+            if len(groups) >= cap:
+                leftovers.append(m)
+                continue
+            g = {"members": [], "verts": set(), "pids": set()}
+            groups.append(g)
+        g["members"].append(m)
+        g["verts"].update(m)
+        g["pids"].update(pids)
+    return [g["members"] for g in groups], leftovers
+
+
+def test_matchings_match_scan():
+    rng = random.Random(12)
+    leftover_runs = 0
+    for trial in range(40):
+        n = rng.randint(2, 40)
+        G = generate("gnp", n, rng.choice([0.1, 0.4, 0.8]), seed=400 + trial)
+        if not G.edges:
+            continue
+        D = decompose_into_paths(G)
+        # scaled degrees reach quotas above 1 (2^r > 200 from r = 8 on)
+        scale = rng.choice([1, 50, 400])
+        dbar = {e: scale * min(G.degree(e[0]), G.degree(e[1])) for e in G.edges}
+        for cap in (1, rng.randint(2, 5), 3 * n):
+            basic = build_matchings_basic(G, D, cap)
+            assert basic == matchings_by_scan(G, D, cap)
+            degree = build_matchings_degree(G, D, dbar, cap)
+            assert degree == matchings_by_scan(G, D, cap, dbar)
+            leftover_runs += bool(basic[1]) + bool(degree[1])
+    assert leftover_runs > 0
+
+
+def test_groups_match_scan():
+    hub = four_hub_graph()
+    L1 = set(range(4))
+    L2 = set(range(4, 14))
+    H1 = Graph(hub.n, [e for e in hub.edges if e[1] in L2], live=hub.live)
+    rng = random.Random(13)
+    cases = [(H1, L1, L2)]
+    for trial in range(20):
+        G = generate("gnp", rng.randint(6, 30), 0.5, seed=500 + trial)
+        L1 = set(rng.sample(G.vertices(), 3))
+        L2 = {v for v in G.vertices() if v not in L1
+              and sum(1 for w in G.neighbors(v) if w in L1) >= 2}
+        cases.append((G, L1, L2))
+    for H, L1, L2 in cases:
+        for dpath in (1, 3):
+            D = decompose_into_bounded_paths(H, dpath)
+            for d, cap in ((1, 100), (2, 3), (3, 10 ** 6), (5, 1)):
+                assert (build_short_path_unions(H, D, L1, L2, d, cap)
+                        == groups_by_scan(H, D, L1, L2, d, cap))
 
 
 def test_short_path_unions_l2_empty():
