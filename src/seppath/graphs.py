@@ -270,6 +270,14 @@ def _gnp_edges(n, p, rng):
     return edges
 
 
+def _sizes(*values):
+    """The values, each checked to be an integer size."""
+    for x in values:
+        if not isinstance(x, int):
+            raise ValueError("size %r is not an integer" % (x,))
+    return values
+
+
 def generate(family, *params, seed=0):
     """
     Deterministic graph generator.
@@ -279,21 +287,21 @@ def generate(family, *params, seed=0):
     """
     rng = random.Random(seed)
     if family == "complete":
-        (n,) = params
+        (n,) = _sizes(*params)
         return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     if family == "path":
-        (n,) = params
+        (n,) = _sizes(*params)
         return Graph(n, [(i, i + 1) for i in range(n - 1)])
     if family == "cycle":
-        (n,) = params
+        (n,) = _sizes(*params)
         if n < 3:
             raise ValueError("cycle needs n >= 3")
         return Graph(n, [(i, (i + 1) % n) for i in range(n)])
     if family == "star":
-        (n,) = params
+        (n,) = _sizes(*params)
         return Graph(n, [(0, i) for i in range(1, n)])
     if family == "grid":
-        a, b = params
+        a, b = _sizes(*params)
         edges = []
         for i in range(a):
             for j in range(b):
@@ -304,17 +312,18 @@ def generate(family, *params, seed=0):
                     edges.append((v, v + b))
         return Graph(a * b, edges)
     if family == "hypercube":
-        (k,) = params
+        (k,) = _sizes(*params)
         n = 1 << k
         edges = [(v, v ^ (1 << bit)) for v in range(n) for bit in range(k) if v < v ^ (1 << bit)]
         return Graph(n, edges)
     if family == "gnp":
         n, p = params
+        _sizes(n)
         if not (0 <= p <= 1):
             raise ValueError("p must be in [0,1]")
         return Graph(n, _gnp_edges(n, p, rng))
     if family == "random_regular":
-        n, d = params
+        n, d = _sizes(*params)
         if (n * d) % 2 != 0 or d >= n:
             raise ValueError("random_regular needs n*d even and d < n")
         import networkx as nx

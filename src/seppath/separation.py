@@ -221,10 +221,9 @@ def brute_force_min_system(G, mode="strong", cap=None):
     return PathSystem(G, [Path(vs) for vs in best["paths"]], mode=mode)
 
 
-def singleton_baseline(G, target=None):
-    """One single-edge path per target edge; always strongly separating."""
-    edges = sorted(G.edges if target is None else target)
-    return PathSystem(G, [Path(e) for e in edges], target=edges, mode="strong")
+def singleton_baseline(G):
+    """One single-edge path per edge; always strongly separating."""
+    return PathSystem(G, [Path(e) for e in sorted(G.edges)], mode="strong")
 
 
 def baseline_nlogn(G):

@@ -67,12 +67,14 @@ def degree_threshold(d, n):
 
 
 class StageResult:
-    """A verified partial separation: system for its target, the rest residual."""
+    """A verified partial separation: the system of paths for target in host,
+    the rest residual."""
 
     __slots__ = ("system", "residual", "fallback_count", "stage_tag", "part_count")
 
-    def __init__(self, system, residual, fallback_count, stage_tag,
-                 source=None, part_count=0):
+    def __init__(self, host, paths, target, residual, fallback_count,
+                 stage_tag, source=None, part_count=0):
+        system = PathSystem(host, paths, target=target)
         self.system = system
         self.residual = residual
         self.fallback_count = fallback_count
@@ -90,8 +92,7 @@ class StageResult:
 
 
 def _empty_stage(G, tag):
-    return StageResult(PathSystem(G, [], target=()),
-                       G, 0, tag, source=G)
+    return StageResult(G, [], (), G, 0, tag, source=G)
 
 
 def _min_endpoint_degrees(host, edges):
@@ -260,84 +261,98 @@ def _interleave_by_path(u, nbrs, decomp):
     return out
 
 
-def audit_matchings_basic(decomp_paths, matchings):
-    """Recompute path membership from the raw paths and re-check matchings."""
+def _edges_of(member):
+    """The canonical edges of a member (a vertex sequence) of a matching or
+    group."""
+    return [(a, b) if a < b else (b, a) for a, b in zip(member, member[1:])]
+
+
+def _audit_slots(decomp_paths, slots, kind, rule=None):
+    """
+    The one audit of matchings and groups, with path ownership recomputed
+    from the raw decomposition paths: within a slot the members (vertex
+    sequences, a matching edge being one of two) share no vertex and meet
+    each path in at most one edge, and rule(slot, pids) holds, pids holding
+    the path of each edge of the slot in order. Counts a pass in
+    audit_counters[kind].
+    """
     owner = {}
     for pid, p in enumerate(decomp_paths):
         for e in p.edges():
             owner[e] = pid
-    for M in matchings:
+    for slot in slots:
         verts = set()
-        pids = set()
-        for e in M:
-            if verts & set(e):
+        pids = {}  # insertion-ordered set
+        for m in slot:
+            if not verts.isdisjoint(m):
                 return False
-            verts |= set(e)
-            pid = owner.get(e)
-            if pid is None or pid in pids:
-                return False
-            pids.add(pid)
-    audit_counters["basic"] += 1
+            verts.update(m)
+            for e in _edges_of(m):
+                pid = owner.get(e)
+                if pid is None or pid in pids:
+                    return False
+                pids[pid] = None
+        if rule is not None and not rule(slot, pids):
+            return False
+    audit_counters[kind] += 1
     return True
+
+
+def audit_matchings_basic(decomp_paths, matchings):
+    """Recompute path membership from the raw paths and re-check matchings."""
+    return _audit_slots(decomp_paths, matchings, "basic")
 
 
 def audit_matchings_degree(host, decomp_paths, matchings):
     """Basic audit plus the per-bucket degree quota, recomputed from host."""
-    if not audit_matchings_basic(decomp_paths, matchings):
-        return False
-    for M in matchings:
-        buckets = Counter()
-        for e in M:
-            r = _bucket(min(host.degree(e[0]), host.degree(e[1])))
-            buckets[r] += 1
-        if any(buckets[r] > _bucket_quota(r) for r in buckets):
-            return False
-    audit_counters["degree"] += 1
-    return True
+    def quota(M, _):
+        buckets = Counter(_bucket(min(host.degree(u), host.degree(v)))
+                          for u, v in M)
+        return all(k <= _bucket_quota(r) for r, k in buckets.items())
+    return _audit_slots(decomp_paths, matchings, "degree", quota)
 
 
 def audit_matchings_spread(G, decomp_paths, matchings, d, r0):
-    """Re-check |M| <= d and pairwise path distance >= 2*r0 by fresh BFS."""
-    owner = {}
-    for pid, p in enumerate(decomp_paths):
-        for e in p.edges():
-            owner[e] = pid
-    for M in matchings:
+    """Basic audit plus |M| <= d and, for every two edges of M, the path of
+    the earlier one outside the ball of radius 2*r0-1 around the path of the
+    later one, by fresh BFS."""
+    def spread(M, pids):
         if len(M) > d:
             return False
-        balls = []
-        for e in M:
-            pv = set(decomp_paths[owner[e]].vertices)
-            balls.append((pv, ball(G, pv, 2 * r0 - 1)))
-        for i in range(len(M)):
-            for j in range(i + 1, len(M)):
-                if balls[i][0] & balls[j][1]:
+        earlier = []
+        for pid in pids:
+            pv = set(decomp_paths[pid].vertices)
+            if earlier:
+                zone = ball(G, pv, 2 * r0 - 1)
+                if any(not zone.isdisjoint(q) for q in earlier):
                     return False
-    audit_counters["spread"] += 1
-    return True
+            earlier.append(pv)
+        return True
+    return _audit_slots(decomp_paths, matchings, "spread", spread)
 
 
 def audit_groups(decomp_paths, groups):
     """Members vertex-disjoint within each group; one edge per path per group."""
-    owner = {}
-    for pid, p in enumerate(decomp_paths):
-        for e in p.edges():
-            owner[e] = pid
-    for g in groups:
-        verts = set()
-        pids = set()
-        for m in g:
-            if verts & set(m):
-                return False
-            verts |= set(m)
-            for i in range(len(m) - 1):
-                e = (m[i], m[i + 1]) if m[i] < m[i + 1] else (m[i + 1], m[i])
-                pid = owner.get(e)
-                if pid is None or pid in pids:
-                    return False
-                pids.add(pid)
-    audit_counters["groups"] += 1
-    return True
+    return _audit_slots(decomp_paths, groups, "groups")
+
+
+def _close_or_singletons(closed, target):
+    """
+    The one close-or-singleton step of the separators. closed lists
+    (piece, path or None), a piece being a matching or group; returns the
+    paths, then one single-edge path for each target edge that no piece
+    with a path covers, in sorted order, and the number of those.
+    """
+    paths = []
+    covered = set()
+    for piece, p in closed:
+        if p is not None:
+            paths.append(p)
+            for m in piece:
+                covered.update(_edges_of(m))
+    singles = sorted(target - covered)
+    paths.extend(Path(e) for e in singles)
+    return paths, len(singles)
 
 
 def _close_matching(host, M, dbar, hubs, pool, target, seed):
@@ -379,28 +394,20 @@ def _separate_within(host, removed, V1, V2, seed):
     singleton paths. Returns (paths, fallback_count).
     """
     Gp = host.without(vertices=removed)
-    target = set(Gp.edges)
+    target = Gp.edges
     if not target:
         return [], 0
     decomp = decompose_into_paths(Gp)
-    paths = list(decomp.paths)
     dbar = _min_endpoint_degrees(host, target)
     cap = CAP_BASIC_FACTOR * max(1, len(host))
-    matchings, leftovers = build_matchings_degree(Gp, decomp, dbar, cap)
+    matchings, _ = build_matchings_degree(Gp, decomp, dbar, cap)
     if not audit_matchings_degree(host, decomp.paths, matchings):
         raise AssertionError("degree matching audit failed")
-    singles = set(leftovers)
-    for mi, M in enumerate(matchings):
-        if len(M) == 1:
-            paths.append(Path(M[0]))
-            continue
-        p = _close_matching(host, M, dbar, V1, V2, target, seed * 65537 + mi)
-        if p is None:
-            singles.update(M)
-        else:
-            paths.append(p)
-    paths.extend(Path(e) for e in sorted(singles))
-    return paths, len(singles)
+    closed = [(M, Path(M[0]) if len(M) == 1 else
+               _close_matching(host, M, dbar, V1, V2, target, seed * 65537 + mi))
+              for mi, M in enumerate(matchings)]
+    paths, fb = _close_or_singletons(closed, target)
+    return list(decomp.paths) + paths, fb
 
 
 def separate_dense_expander(H, seed):
@@ -422,9 +429,8 @@ def separate_dense_expander(H, seed):
                                              rng.randrange(1 << 30))
         paths.extend(run_paths)
         fb += run_fb
-    system = PathSystem(H, paths, target=H.edges)
     empty = Graph(H.n, [], live=H.live)
-    return StageResult(system, empty, fb, "dense-expander", source=H)
+    return StageResult(H, paths, H.edges, empty, fb, "dense-expander", source=H)
 
 
 def reduce_large_deg(G, seed):
@@ -442,11 +448,9 @@ def reduce_large_deg(G, seed):
         paths.extend(st.system.paths)
         paths.extend(decompose_into_paths(H).paths)
         fb += st.fallback_count
-    target = G.edges - D.uncovered
-    system = PathSystem(G, paths, target=target)
     residual = Graph(G.n, D.uncovered, live=G.live)
-    return StageResult(system, residual, fb, "reduce-large-deg", source=G,
-                       part_count=len(D.parts))
+    return StageResult(G, paths, G.edges - D.uncovered, residual, fb,
+                       "reduce-large-deg", source=G, part_count=len(D.parts))
 
 
 def _complete_members(host, members, decomp):
@@ -492,34 +496,20 @@ def separate_high_degree(G, d):
     h2_edges = {e for e in G.edges
                 if (e[0] in L1 or e[1] in L1) and e not in h1_edges}
     d_int = max(1, int(d))
-    H1 = Graph(G.n, h1_edges, live=G.live)
-    paths = []
-    singles = set()
+    paths, fb = [], 0
     if h1_edges:
+        H1 = Graph(G.n, h1_edges, live=G.live)
         P1 = decompose_into_bounded_paths(H1, d_int)
-        paths.extend(P1.paths)
         cap = CAP_GROUP_FACTOR * max(n, math.ceil(len(G.edges) / d_int))
-        groups, leftover_members = build_short_path_unions(
-            H1, P1, L1, L2, d_int, cap)
+        groups, _ = build_short_path_unions(H1, P1, L1, L2, d_int, cap)
         if not audit_groups(P1.paths, groups):
             raise AssertionError("group audit failed")
-        covered = set()
-        for g in groups:
-            gedges = {e for m in g for e in Path(m).edges()}
-            p = _complete_members(G, g, P1)
-            if p is None:
-                singles.update(gedges)
-            else:
-                paths.append(p)
-                covered |= gedges
-        singles |= h1_edges - covered
-        singles -= covered
-    paths.extend(Path(e) for e in sorted(singles))
+        closed = [(g, _complete_members(G, g, P1)) for g in groups]
+        built, fb = _close_or_singletons(closed, h1_edges)
+        paths = list(P1.paths) + built
     paths.extend(Path(e) for e in sorted(h2_edges))
-    target = h1_edges | h2_edges
-    system = PathSystem(G, paths, target=target)
-    residual = G.without(vertices=L1)
-    return StageResult(system, residual, len(singles), "high-degree", source=G)
+    return StageResult(G, paths, h1_edges | h2_edges, G.without(vertices=L1),
+                       fb, "high-degree", source=G)
 
 
 def separate_sparse_expander(J, d):
@@ -531,21 +521,14 @@ def separate_sparse_expander(J, d):
     P = decompose_into_bounded_paths(J, d_int)
     r0 = max(2, math.ceil(math.log2(math.log2(d + 2))))
     cap = CAP_SPREAD_FACTOR * max(len(J), math.ceil(len(J.edges) / d_int))
-    matchings, leftovers = build_matchings_spread(J, P, d_int, r0, cap)
+    matchings, _ = build_matchings_spread(J, P, d_int, r0, cap)
     if not audit_matchings_spread(J, P.paths, matchings, d_int, r0):
         raise AssertionError("spread matching audit failed")
-    paths = list(P.paths)
-    singles = set(leftovers)
-    for M in matchings:
-        p = _complete_members(J, M, P)
-        if p is None:
-            singles.update(M)
-        else:
-            paths.append(p)
-    paths.extend(Path(e) for e in sorted(singles))
-    system = PathSystem(J, paths, target=J.edges)
+    closed = [(M, _complete_members(J, M, P)) for M in matchings]
+    paths, fb = _close_or_singletons(closed, J.edges)
     empty = Graph(J.n, [], live=J.live)
-    return StageResult(system, empty, len(singles), "sparse-expander", source=J)
+    return StageResult(J, list(P.paths) + paths, J.edges, empty, fb,
+                       "sparse-expander", source=J)
 
 
 def reduce_small_deg(G):
@@ -589,9 +572,8 @@ def reduce_small_deg(G):
                 small.append(F)
     if sum(len(F) for F in small) > 4 * n:
         raise AssertionError("small parts exceed the 4n size bound")
-    system = PathSystem(G, paths, target=separated)
     residual = Graph(G.n, residual_edges, live=G.live)
-    return StageResult(system, residual, fb, "reduce-small-deg",
+    return StageResult(G, paths, separated, residual, fb, "reduce-small-deg",
                        part_count=part_count), small
 
 
@@ -611,9 +593,8 @@ def one_step(G, seed):
         target |= st2.system.target
         residual_edges |= st2.residual.edges
         parts += st2.part_count
-    system = PathSystem(G, paths, target=target)
     residual = Graph(G.n, residual_edges, live=G.live)
-    return StageResult(system, residual, fb, "one-step", source=G,
+    return StageResult(G, paths, target, residual, fb, "one-step", source=G,
                        part_count=parts)
 
 

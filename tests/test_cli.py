@@ -29,6 +29,16 @@ def test_gen_bad_family_exit_usage():
     assert run(["gen", "nope", "5"]) == 2
 
 
+@pytest.mark.parametrize("params", [["complete", "2.5"], ["hypercube", "2.5"],
+                                    ["grid", "2.5", "3"],
+                                    ["random_regular", "10.5", "4"],
+                                    ["gnp", "7.5", "0.3"]])
+def test_gen_non_integer_size_exit_usage(params, capsys):
+    assert run(["gen"] + params) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: size ") and "Traceback" not in err
+
+
 def test_separate_roundtrip(tmp_path, capsys):
     g = tmp_path / "g.edges"
     s = tmp_path / "out.system"

@@ -1,9 +1,11 @@
 """Outputs pinned by SHA-256 digest. A refactor that is meant to keep the
 pipeline's behaviour must keep these digests; any change to a system or a
-report shows here. The five cases run the sparse-expander completion
+report shows here. The six cases run the sparse-expander completion
 (inside separate_all), the dense tripartition, the high-degree completion,
-the dense stage reached through separate_all, and a sparse graph whose
-bit-code baseline decomposes subgraphs of many components."""
+the dense stage reached through separate_all, a sparse graph whose
+bit-code baseline decomposes subgraphs of many components, and the sparse
+expander on its own where the spread limit binds and every completion
+falls back."""
 
 import hashlib
 import random
@@ -14,6 +16,7 @@ from seppath.strategies import (
     separate_all,
     separate_dense_expander,
     separate_high_degree,
+    separate_sparse_expander,
 )
 from test_decomp import relabel
 
@@ -89,3 +92,13 @@ def test_separate_all_sparse_bitcode_pinned():
     system, report = separate_all(relabel(generate("hypercube", 8), 8), seed=8)
     assert digest(system_to_text(system) + report.to_csv()) == (
         "b59be3bbcfd8e1577d1ba2608927f282364c91629758931a0884620a96252916")
+
+
+def test_sparse_expander_fallback_pinned():
+    # on a 60-cycle with d = 4 the spread matchings hold 3 and 4 edges, so
+    # the limit d binds, and all 16 completions fail: every edge falls back
+    # to a singleton
+    st = separate_sparse_expander(generate("cycle", 60), 4)
+    assert st.fallback_count == 60
+    assert digest(system_to_text(st.system)) == (
+        "b2d16828f80a0ddc09b497c909f40965513ac1474af1469fa68469c6882d0bbf")

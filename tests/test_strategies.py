@@ -5,11 +5,12 @@ from collections import Counter
 import pytest
 
 from seppath.decomp import decompose_into_bounded_paths, decompose_into_paths
-from seppath.graphs import Graph, ball, generate
+from seppath.graphs import Graph, Path, ball, generate
 from seppath.separation import verify_separation
 from seppath.strategies import (
     _bucket,
     _bucket_quota,
+    _close_or_singletons,
     _first_fit,
     _union_members,
     audit_counters,
@@ -422,3 +423,220 @@ def test_report_csv_shape():
     assert any("selected:" in ln for ln in lines)
     for ln in lines[1:]:
         assert len(ln.split(",")) == 7
+
+
+# The four audit bodies as they were written out one by one, without their
+# pass counters, kept as references for _audit_slots.
+
+def ref_audit_matchings_basic(decomp_paths, matchings):
+    owner = {}
+    for pid, p in enumerate(decomp_paths):
+        for e in p.edges():
+            owner[e] = pid
+    for M in matchings:
+        verts = set()
+        pids = set()
+        for e in M:
+            if verts & set(e):
+                return False
+            verts |= set(e)
+            pid = owner.get(e)
+            if pid is None or pid in pids:
+                return False
+            pids.add(pid)
+    return True
+
+
+def ref_audit_matchings_degree(host, decomp_paths, matchings):
+    if not ref_audit_matchings_basic(decomp_paths, matchings):
+        return False
+    for M in matchings:
+        buckets = Counter()
+        for e in M:
+            r = _bucket(min(host.degree(e[0]), host.degree(e[1])))
+            buckets[r] += 1
+        if any(buckets[r] > _bucket_quota(r) for r in buckets):
+            return False
+    return True
+
+
+def ref_audit_matchings_spread(G, decomp_paths, matchings, d, r0):
+    owner = {}
+    for pid, p in enumerate(decomp_paths):
+        for e in p.edges():
+            owner[e] = pid
+    for M in matchings:
+        if len(M) > d:
+            return False
+        balls = []
+        for e in M:
+            pv = set(decomp_paths[owner[e]].vertices)
+            balls.append((pv, ball(G, pv, 2 * r0 - 1)))
+        for i in range(len(M)):
+            for j in range(i + 1, len(M)):
+                if balls[i][0] & balls[j][1]:
+                    return False
+    return True
+
+
+def ref_audit_groups(decomp_paths, groups):
+    owner = {}
+    for pid, p in enumerate(decomp_paths):
+        for e in p.edges():
+            owner[e] = pid
+    for g in groups:
+        verts = set()
+        pids = set()
+        for m in g:
+            if verts & set(m):
+                return False
+            verts |= set(m)
+            for i in range(len(m) - 1):
+                e = (m[i], m[i + 1]) if m[i] < m[i + 1] else (m[i + 1], m[i])
+                pid = owner.get(e)
+                if pid is None or pid in pids:
+                    return False
+                pids.add(pid)
+    return True
+
+
+def audit_pairs():
+    """Audit kind -> (audit, reference), both with the host arguments of
+    audit_fixture bound; the spread pair with d = 3 and r0 = 2."""
+    G, P, far, far_paths = audit_fixture()
+    return {
+        "basic": (lambda s: audit_matchings_basic(P, s),
+                  lambda s: ref_audit_matchings_basic(P, s)),
+        "degree": (lambda s: audit_matchings_degree(G, P, s),
+                   lambda s: ref_audit_matchings_degree(G, P, s)),
+        "spread": (lambda s: audit_matchings_spread(far, far_paths, s, 3, 2),
+                   lambda s: ref_audit_matchings_spread(far, far_paths, s, 3, 2)),
+        "groups": (lambda s: audit_groups(P, s),
+                   lambda s: ref_audit_groups(P, s)),
+    }
+
+
+def audit_fixture():
+    # P0 = 0-1-2-3, P1 = 4-5-6-7, P2 = 1-5; every degree is at most 3, so
+    # each bucket allows one edge per matching
+    P = [Path([0, 1, 2, 3]), Path([4, 5, 6, 7]), Path([1, 5])]
+    G = Graph(8, [e for p in P for e in p.edges()])
+    # the path 0-...-18 cut into paths; {0,1}, {5,6}, {10,11} and {15,16}
+    # lie 4 apart in turn, and {4,5} and {9,10} lie 3 from their neighbours
+    # on the left
+    far = generate("path", 19)
+    far_paths = [Path([0, 1]), Path([4, 5]), Path([5, 6]), Path([9, 10]),
+                 Path([10, 11]), Path([15, 16]), Path([1, 2, 3, 4]),
+                 Path([6, 7, 8, 9]), Path([11, 12, 13, 14, 15]),
+                 Path([16, 17, 18])]
+    return G, P, far, far_paths
+
+
+# (audit, slots): each holds one slot that breaks the audit's rule
+BAD_SLOTS = [
+    ("basic", [[(0, 1), (1, 5)]]),            # two edges share a vertex
+    ("basic", [[(0, 1), (2, 3)]]),            # two edges of path P0
+    ("basic", [[(0, 2)]]),                    # a non-edge
+    ("basic", [[(4, 5)], [(0, 1), (1, 5)]]),  # a bad second matching
+    ("degree", [[(0, 1), (1, 5)]]),
+    ("degree", [[(0, 1), (2, 3)]]),
+    ("degree", [[(0, 2)]]),
+    ("degree", [[(0, 1), (4, 5)]]),           # bucket 1 over its quota 1
+    ("spread", [[(0, 1), (5, 6), (10, 11), (15, 16)]]),  # d + 1 edges
+    ("spread", [[(0, 1), (4, 5)]]),           # paths at distance 3 < 2*r0
+    ("spread", [[(4, 5), (0, 1)]]),
+    ("spread", [[(0, 1), (5, 6), (9, 10)]]),  # the later two too close
+    ("spread", [[(9, 10)], [(5, 6), (1, 2)]]),
+    ("groups", [[(0, 1, 5), (5, 6)]]),        # members share vertex 5
+    ("groups", [[(0, 1), (3, 2)]]),           # member edges share path P0
+    ("groups", [[(0, 1, 2)]]),                # one member, both edges on P0
+    ("groups", [[(6, 7), (1, 0)], [(3, 2, 1)]]),
+    ("groups", [[(0, 3)]]),                   # a non-edge
+]
+
+GOOD_SLOTS = [
+    ("basic", [[(0, 1), (4, 5)], [(1, 5), (2, 3)]]),
+    ("degree", [[(1, 2), (4, 5)], [(1, 5)]]),
+    ("spread", [[(0, 1), (5, 6), (10, 11)], [(15, 16), (9, 10), (4, 5)],
+                [(1, 2)]]),
+    ("groups", [[(2, 1, 5), (6, 7)], [(3, 2), (5, 4)]]),
+]
+
+
+@pytest.mark.parametrize("kind,slots", BAD_SLOTS)
+def test_audits_reject_bad_slots(kind, slots):
+    audit, ref = audit_pairs()[kind]
+    assert ref(slots) is False
+    reset_audit_counters()
+    assert audit(slots) is False
+    assert not audit_counters
+
+
+@pytest.mark.parametrize("kind,slots", GOOD_SLOTS)
+def test_audits_accept_good_slots(kind, slots):
+    audit, ref = audit_pairs()[kind]
+    assert ref(slots) is True
+    reset_audit_counters()
+    assert audit(slots) is True
+    # each audit counts one pass under its own name, and only that
+    assert audit_counters == Counter({kind: 1})
+
+
+def test_close_or_singletons_counts_pieces_not_paths():
+    # the closed path 0-1-2-3 runs over (1, 2), which is not in its piece:
+    # (1, 2) still gets its one-edge path, as does the failed piece's edge
+    closed = [([(0, 1), (2, 3)], Path([0, 1, 2, 3])), ([(4, 5)], None)]
+    paths, fb = _close_or_singletons(closed, {(0, 1), (1, 2), (2, 3), (4, 5)})
+    assert [p.vertices for p in paths] == [(0, 1, 2, 3), (1, 2), (4, 5)]
+    assert fb == 2
+
+
+def random_slots(rng, G, members):
+    """Slots from members, mostly spread over few slots so that many break
+    a rule, sometimes with a non-edge of G mixed in."""
+    slots = [[] for _ in range(rng.randint(1, 4))]
+    for m in rng.sample(members, min(len(members), rng.randint(1, 8))):
+        rng.choice(slots).append(m)
+    if rng.random() < 0.2:
+        u, v = rng.sample(range(G.n), 2)
+        if not G.has_edge(u, v):
+            rng.choice(slots).append((min(u, v), max(u, v)))
+    return [s for s in slots if s]
+
+
+def test_audits_match_references_on_random_slots():
+    rng = random.Random(12)
+    seen = Counter()
+    for trial in range(150):
+        n = rng.randint(4, 30)
+        G = generate("gnp", n, rng.choice([0.1, 0.2, 0.4]), seed=500 + trial)
+        if not G.edges:
+            continue
+        D = decompose_into_bounded_paths(G, rng.randint(1, 4))
+        edges = sorted(G.edges)
+        walks = [(a, u, b) for u in G.vertices() for a in G.neighbors(u)
+                 for b in G.neighbors(u) if a < b]
+        d, r0 = rng.randint(1, 4), rng.randint(1, 2)
+        built, _ = build_matchings_spread(G, D, d, r0, 3 * n)
+        for slots in [built] + [random_slots(rng, G, edges) for _ in range(3)]:
+            got = audit_matchings_basic(D.paths, slots)
+            assert got == ref_audit_matchings_basic(D.paths, slots)
+            assert (audit_matchings_degree(G, D.paths, slots)
+                    == ref_audit_matchings_degree(G, D.paths, slots))
+            try:
+                want = ref_audit_matchings_spread(G, D.paths, slots, d, r0)
+            except KeyError:
+                # the reference looks a non-edge up without a default
+                want = False
+            spread = audit_matchings_spread(G, D.paths, slots, d, r0)
+            assert spread == want
+            seen[got, spread] += 1
+        for _ in range(3):
+            slots = random_slots(rng, G, edges + walks)
+            got = audit_groups(D.paths, slots)
+            assert got == ref_audit_groups(D.paths, slots)
+            seen["groups", got] += 1
+    # the slots pass and fail both ways
+    assert all(seen[k] > 10 for k in ((True, True), (True, False),
+                                      (False, False), ("groups", True),
+                                      ("groups", False))), seen

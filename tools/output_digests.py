@@ -9,12 +9,20 @@ every output byte-identical:
 
 The cases are the benchmark corpora (dense-gnp, clustered, sparse-cli) at run
 seed 1, separated in process; the sparse-cli corpus again through
-`seppath separate` and `seppath verify` on files; and the 60 instances of
-tests/test_acceptance.py. Each in-process case hashes the system text and the
-report CSV; each command-line case hashes both written files and both exit
-codes. The corpora and the acceptance instances come from this repository's
-perfbench/corpus.py and tests/test_acceptance.py, built with the graph
-generators of the tree under test. Takes about a minute on a 2-vCPU VM.
+`seppath separate` and `seppath verify` on files; the 60 instances of
+tests/test_acceptance.py; and the separators called directly, which the
+pipeline rarely reaches: `separate_dense_expander` and
+`separate_sparse_expander` (d cycling through 1, 2, 3, 5) on 120 seeded
+G(n, p) with n <= 45, the sparse one also on two cycles and two grids
+with d in 1 to 5, and `separate_high_degree` on hub graphs (the
+four-hub graph of tests/test_pinned_outputs.py and variants in hub count,
+hub edges and d). Each in-process case hashes the system text and the report
+CSV; each direct case hashes the stage's system text, fallback count,
+residual edges and part count; each command-line case hashes both written
+files and both exit codes. The corpora and the acceptance instances come
+from this repository's perfbench/corpus.py and tests/test_acceptance.py,
+built with the graph generators of the tree under test. Takes about 100 s
+on a 2-vCPU VM.
 """
 
 import argparse
@@ -23,11 +31,14 @@ import hashlib
 import importlib.util
 import io
 import os
+import random
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS_SEED = 1
+STAGE_GRAPHS = 120
+SPARSE_D = (1, 2, 3, 5)
 
 
 def sha(*parts):
@@ -53,6 +64,64 @@ def in_process(G, seed):
     except AssertionError as exc:
         return sha("error", exc)
     return sha(system_to_text(system), report.to_csv())
+
+
+def stage_digest(stage, *args):
+    from seppath.cli import system_to_text
+    try:
+        st = stage(*args)
+    except AssertionError as exc:
+        return sha("error", exc)
+    return sha(system_to_text(st.system), st.fallback_count,
+               sorted(st.residual.edges), st.part_count)
+
+
+def hub_graph(hubs, shared, leaves, hub_edges):
+    """Hubs joined to every shared vertex and to private leaves; with
+    hub_edges the hubs also form a clique."""
+    from seppath.graphs import Graph
+    edges = [(h, s) for h in range(hubs) for s in range(hubs, hubs + shared)]
+    if hub_edges:
+        edges += [(h, k) for h in range(hubs) for k in range(h + 1, hubs)]
+    nxt = hubs + shared
+    for h in range(hubs):
+        edges += [(h, nxt + i) for i in range(leaves)]
+        nxt += leaves
+    return Graph(nxt, edges)
+
+
+def stage_cases():
+    from seppath.graphs import generate
+    from seppath import strategies
+    for i in range(STAGE_GRAPHS):
+        rng = random.Random("stages:%d" % i)
+        n = rng.randint(4, 45)
+        p = rng.choice((0.05, 0.1, 0.2, 0.35, 0.5, 0.8))
+        G = generate("gnp", n, p, seed=i)
+        case = "stage/%d/gnp/%d/%s" % (i, n, p)
+        yield (case + "/dense", stage_digest(strategies.separate_dense_expander, G, i))
+        d = SPARSE_D[i % len(SPARSE_D)]
+        yield ("%s/sparse/%d" % (case, d),
+               stage_digest(strategies.separate_sparse_expander, G, d))
+    for family, params in (("cycle", (30,)), ("cycle", (60,)),
+                           ("grid", (6, 6)), ("grid", (8, 10))):
+        G = generate(family, *params)
+        for d in SPARSE_D + (4,):
+            yield ("stage/%s/%s/sparse/%d" % (family, params, d),
+                   stage_digest(strategies.separate_sparse_expander, G, d))
+    # (4, 4, 180) has groups that fail to complete; with d the average
+    # degree, the last two find no hub
+    for hubs, shared, leaves, hub_edges in ((4, 10, 180, False),
+                                            (4, 10, 180, True),
+                                            (4, 4, 180, False),
+                                            (4, 2, 200, True),
+                                            (5, 12, 150, False),
+                                            (6, 8, 120, True)):
+        G = hub_graph(hubs, shared, leaves, hub_edges)
+        for d in (1, G.avg_degree()):
+            yield ("stage/hubs/%d/%d/%d/%d/%.3f" % (hubs, shared, leaves,
+                                                   hub_edges, d),
+                   stage_digest(strategies.separate_high_degree, G, d))
 
 
 def through_cli(inst):
@@ -84,6 +153,7 @@ def cases(workdir):
         G = acceptance.make_instance(fam, param, n, seed)
         yield ("acceptance/%s/%s/%d/%d" % (fam, param, n, seed),
                in_process(G, seed))
+    yield from stage_cases()
 
 
 def main(argv=None):
