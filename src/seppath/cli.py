@@ -31,11 +31,16 @@ EXIT_INTERNAL = 4
 
 
 def write_atomic(path, text):
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename. The file
+    gets the mode open() would give it, 0o666 less the umask, in place of
+    mkstemp's 0o600."""
     target = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
                                prefix=".seppath-tmp-")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, target)

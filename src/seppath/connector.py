@@ -1,5 +1,6 @@
-"""Path-forest completion: routing pair families through a vertex pool and
-closing a core forest into one path by a components-then-length local search."""
+"""Path-forest completion: routing pair families through a vertex pool,
+closing a core forest into one path by greedy shortest joins, and joining
+matching edges through hub vertices."""
 
 import random
 from collections import deque
@@ -8,7 +9,6 @@ from .graphs import Path, PathForest, canonical_edge
 
 MAX_LEN = 24        # longest connector, in edges
 RETRIES = 20        # random routing orders tried before the fixed one
-MAX_MOVES = 10000   # local search moves of one completion
 
 
 class ConnectionRequest:
@@ -135,119 +135,39 @@ def check_connection(req, paths):
     return True
 
 
-class _Chain:
-    """Alternating core/connector segments forming one open path."""
-
-    __slots__ = ("segments",)
-
-    def __init__(self, segments):
-        self.segments = segments
-
-    def vertices(self):
-        out = list(self.segments[0][1])
-        for _, seg in self.segments[1:]:
-            out.extend(seg[1:])
-        return out
-
-    def ends(self):
-        vs = self.vertices()
-        return vs[0], vs[-1]
-
-    def oriented(self, end_last):
-        vs = self.vertices()
-        if vs[-1] == end_last:
-            return self
-        rev = [(kind, seg[::-1]) for kind, seg in reversed(self.segments)]
-        return _Chain(rev)
-
-
-def complete_to_path(prob, trace=None):
+def complete_to_path(prob):
     """
     Close the core forest into one simple path avoiding the forbidden edges and
-    vertices. Local search over (component count, total connector length):
-    join two components by a shortest connector, or reroute a connector
-    strictly shorter; the measure decreases lexicographically at every
-    accepted move. Returns None when stuck with several components.
+    vertices, by greedy joins. Each join takes the least option (a, b, i, j),
+    a an end of chain i and b an end of chain j > i, that a shortest connector
+    of at most MAX_LEN edges links with an interior off every chain, so each
+    join leaves one chain fewer. Returns None when no option joins while two
+    or more chains remain.
     """
-    chains = [_Chain([("core", list(p.vertices))]) for p in prob.core.paths]
+    chains = [list(p.vertices) for p in prob.core.paths]
     if not chains:
         return None
-    # a one-path core is its own answer; only joins and reroutes need the host
+    # a one-path core is its own answer; only joins need the host
     H = (prob.host.without(vertices=prob.forbidden_vertices, edges=prob.forbidden_edges)
          if len(chains) > 1 else None)
-
-    def used_vertices():
-        out = set()
-        for c in chains:
-            out.update(c.vertices())
-        return out
-
-    def measure():
-        total = sum(len(seg) - 1 for c in chains
-                    for kind, seg in c.segments if kind == "conn")
-        return (len(chains), total)
-
-    def try_join():
-        used = used_vertices()
-        options = []
-        for i, ci in enumerate(chains):
-            for j in range(i + 1, len(chains)):
-                for a in ci.ends():
-                    for b in chains[j].ends():
-                        options.append((a, b, i, j))
-        options.sort()
+    while len(chains) > 1:
+        used = {v for c in chains for v in c}
+        options = sorted((a, b, i, j)
+                         for i, ci in enumerate(chains)
+                         for j in range(i + 1, len(chains))
+                         for a in (ci[0], ci[-1])
+                         for b in (chains[j][0], chains[j][-1]))
         for a, b, i, j in options:
             p = _bfs_path(H, a, b, used - {b}, MAX_LEN)
-            if p is None:
-                continue
-            left = chains[i].oriented(a)
-            right = chains[j].oriented(b).segments
-            right = [(k, s[::-1]) for k, s in reversed(right)]
-            segs = left.segments + [("conn", p)] + right
-            merged = _Chain(segs)
-            keep = [c for k, c in enumerate(chains) if k not in (i, j)]
-            chains.clear()
-            chains.extend(keep + [merged])
-            return True
-        return False
-
-    def try_reroute():
-        used = used_vertices()
-        cand = []
-        for ci, c in enumerate(chains):
-            for si, (kind, seg) in enumerate(c.segments):
-                if kind == "conn" and len(seg) > 2:
-                    cand.append((min(seg[0], seg[-1]), ci, si))
-        cand.sort()
-        for _, ci, si in cand:
-            seg = chains[ci].segments[si][1]
-            a, b = seg[0], seg[-1]
-            freed = set(seg[1:-1])
-            blocked = (used - freed) - {b}
-            p = _bfs_path(H, a, b, blocked, len(seg) - 2)
-            if p is not None and len(p) < len(seg):
-                chains[ci].segments[si] = ("conn", p)
-                return True
-        return False
-
-    prev = measure()
-    if trace is not None:
-        trace.append(prev)
-    moves = 0
-    while len(chains) > 1 and moves < MAX_MOVES:
-        if try_join() or try_reroute():
-            cur = measure()
-            if not cur < prev:
-                raise AssertionError("completion move did not decrease the measure")
-            prev = cur
-            if trace is not None:
-                trace.append(cur)
-            moves += 1
+            if p is not None:
+                break
         else:
             return None
-    if len(chains) != 1:
-        return None
-    vs = chains[0].vertices()
+        left = chains[i] if chains[i][-1] == a else chains[i][::-1]
+        right = chains[j] if chains[j][0] == b else chains[j][::-1]
+        keep = [c for k, c in enumerate(chains) if k not in (i, j)]
+        chains = keep + [left + p[1:-1] + right]
+    vs = chains[0]
     if len(set(vs)) != len(vs):
         raise AssertionError("completion produced a non-simple walk")
     return Path(vs)

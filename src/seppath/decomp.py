@@ -17,11 +17,10 @@ class PathDecomposition:
     edge -> path-id index.
     """
 
-    __slots__ = ("paths", "host", "index")
+    __slots__ = ("paths", "index")
 
     def __init__(self, paths, host):
         self.paths = tuple(paths)
-        self.host = host
         index = {}
         for pid, p in enumerate(self.paths):
             for e in p.edges():

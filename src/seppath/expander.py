@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -42,12 +43,11 @@ class ExpanderParams:
 class ExpanderDecomposition:
     """Edge-disjoint expander parts plus the uncovered edges, with bound checks."""
 
-    __slots__ = ("parts", "uncovered", "params")
+    __slots__ = ("parts", "uncovered")
 
     def __init__(self, parts, uncovered, params, source):
         self.parts = tuple(parts)
         self.uncovered = frozenset(uncovered)
-        self.params = params
         n = len(source)
         seen = set(self.uncovered)
         for H in self.parts:
@@ -79,8 +79,7 @@ def is_expander_violation(G, X, F, p):
         raise ValueError("F not inside E(G)")
     if len(F) > p.edge_budget(len(X), n):
         raise ValueError("|F| exceeds the edge budget")
-    H = G.without(edges=F)
-    return len(neighborhood(H, X)) < p.threshold(len(X))
+    return len(neighborhood(G, X, cut=F)) < p.threshold(len(X))
 
 
 def _best_F(G, X, p):
@@ -110,8 +109,8 @@ def _best_F(G, X, p):
 class _SweepCut:
     """
     A vertex set X grown one vertex at a time, with the X-multiplicity of
-    every outside neighbor kept up to date, so that _best_F's count of
-    neighbors left after the budget is read without recomputing N(X).
+    every outside neighbor kept up to date, so that each prefix is checked
+    without recomputing N(X).
     """
 
     __slots__ = ("G", "X", "mult")
@@ -129,17 +128,19 @@ class _SweepCut:
             if w not in X:
                 mult[w] = mult.get(w, 0) + 1
 
-    def left(self, budget):
-        """_best_F(G, X, p)[1] for an edge budget of p.edge_budget(|X|, n):
-        neighbors are cut off in increasing multiplicity while they fit."""
-        removed = 0
-        if budget:
-            for c in sorted(self.mult.values()):
-                if c > budget:
-                    break
-                budget -= c
-                removed += 1
-        return len(self.mult) - removed
+
+def _left(multiplicities, budget):
+    """_best_F(G, X, p)[1], given the X-multiplicity of every outside
+    neighbor and the edge budget p.edge_budget(|X|, n): neighbors are cut
+    off in increasing multiplicity while they fit."""
+    removed = 0
+    if budget:
+        for c in sorted(multiplicities):
+            if c > budget:
+                break
+            budget -= c
+            removed += 1
+    return len(multiplicities) - removed
 
 
 def _peel_order(G):
@@ -161,13 +162,17 @@ def _peel_order(G):
     return order
 
 
-def _check_candidate(G, X, p):
+def _check_candidate(G, X, p, mult=None):
+    """(X, F) with F from _best_F when X is a violation, else None. mult is
+    the X-multiplicity of every outside neighbor, counted here if not given;
+    F is built only on a hit."""
     n = len(G)
     if not (1 <= len(X) <= 2 * n / 3):
         return None
-    F, n_left = _best_F(G, X, p)
-    if n_left < p.threshold(len(X)):
-        return (frozenset(X), F)
+    if mult is None:
+        mult = Counter(w for v in X for w in G.neighbors(v) if w not in X)
+    if _left(mult.values(), p.edge_budget(len(X), n)) < p.threshold(len(X)):
+        return (frozenset(X), _best_F(G, X, p)[0])
     return None
 
 
@@ -200,10 +205,11 @@ def _spectral_order(G):
 
 def find_violating_pair(G, p):
     """
-    Heuristic search for a non-expansion certificate. Tries component splits,
-    low-degree peeling prefixes, spectral sweep cuts, and local improvement;
-    exhaustive over all X when the graph is small. No return is not a proof
-    of expansion.
+    Heuristic search for a non-expansion certificate: exhaustive over all X
+    when the graph is small, else a component split, then the prefixes of the
+    low-degree peeling order and of the spectral order, at most SEARCH_BUDGET
+    of them in all. There is no local improvement of a failed sweep. No
+    return is not a proof of expansion.
     """
     n = len(G)
     if n < 2:
@@ -236,47 +242,18 @@ def find_violating_pair(G, p):
         yield _spectral_order(G)
 
     evals = 0
-    best_cut = None
     for order in orders():
         cut = _SweepCut(G)
         for v in order:
             cut.add(v)
-            size = len(cut.X)
-            if size > 2 * n / 3:
+            if len(cut.X) > 2 * n / 3:
                 break
             evals += 1
             if evals > SEARCH_BUDGET:
-                break
-            n_left = cut.left(p.edge_budget(size, n))
-            threshold = p.threshold(size)
-            if n_left < threshold:
-                return (frozenset(cut.X), _best_F(G, cut.X, p)[0])
-            # remember the tightest prefix for local improvement
-            slack = n_left - threshold
-            if best_cut is None or slack < best_cut[0]:
-                best_cut = (slack, set(cut.X))
-        if evals > SEARCH_BUDGET:
-            break
-    if best_cut is not None and evals <= SEARCH_BUDGET:
-        X = set(best_cut[1])
-        for _ in range(min(2 * n, SEARCH_BUDGET - evals)):
-            boundary = sorted(neighborhood(G, X))
-            improved = False
-            for w in boundary:
-                trial = X | {w}
-                if len(trial) > 2 * n / 3:
-                    continue
-                F, n_left = _best_F(G, trial, p)
-                threshold = p.threshold(len(trial))
-                if n_left < threshold:
-                    return (frozenset(trial), F)
-                if n_left - threshold < best_cut[0]:
-                    best_cut = (n_left - threshold, trial)
-                    X = trial
-                    improved = True
-                    break
-            if not improved:
-                break
+                return None
+            hit = _check_candidate(G, cut.X, p, cut.mult)
+            if hit is not None:
+                return hit
     return None
 
 

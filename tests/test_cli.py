@@ -157,3 +157,19 @@ def test_write_atomic_replaces(tmp_path):
     write_atomic(str(p), "two\n")
     assert p.read_text() == "two\n"
     assert not [x for x in os.listdir(tmp_path) if x.startswith(".seppath-tmp")]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_files_get_open_mode(tmp_path, umask):
+    # the mode open() gives a new file, not mkstemp's 0o600
+    old = os.umask(umask)
+    try:
+        out = tmp_path / "k4.edges"
+        assert run(["gen", "complete", "4", "--out", str(out)]) == 0
+        plain = tmp_path / "plain"
+        with open(plain, "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert (out.stat().st_mode & 0o777) == (plain.stat().st_mode & 0o777)
+    assert (out.stat().st_mode & 0o777) == 0o666 & ~umask

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from seppath.expander import (
     ExpanderParams,
     _best_F,
+    _check_candidate,
+    _left,
     _peel_order,
     _spectral_order,
     _SweepCut,
@@ -111,6 +114,29 @@ def test_decompose_invariants_random_corpus():
                     assert certify_expander_exhaustive(H, p)
 
 
+def test_check_candidate_matches_best_F_on_every_set():
+    # the count rule on every admissible X, not only on sweep prefixes:
+    # a hit iff _best_F leaves fewer neighbors than the threshold, with
+    # _best_F's F
+    rng = random.Random(5)
+    outcomes = set()
+    for trial in range(10):
+        n = rng.randint(4, 10)
+        G = generate("gnp", n, rng.choice((0.3, 0.5, 0.7)), seed=trial)
+        for s in (0, 1, 2, 8):
+            p = ExpanderParams(EPS, s=s, t=n)
+            for size in range(1, int(2 * n / 3) + 1):
+                for X in itertools.combinations(G.vertices(), size):
+                    F, n_left = _best_F(G, set(X), p)
+                    hit = _check_candidate(G, set(X), p)
+                    assert (hit is not None) == (n_left < p.threshold(size))
+                    if hit is not None:
+                        assert hit == (frozenset(X), F)
+                        assert is_expander_violation(G, X, F, p)
+                    outcomes.add((s > 0, hit is not None))
+    assert len(outcomes) == 4
+
+
 def test_find_deterministic():
     G = generate("gnp", 40, 0.08, seed=13)
     p = ExpanderParams(EPS, s=1, t=10)
@@ -151,4 +177,4 @@ def test_sweep_left_matches_best_F_on_every_prefix():
                 for v in order:
                     cut.add(v)
                     budget = p.edge_budget(len(cut.X), n)
-                    assert cut.left(budget) == _best_F(G, cut.X, p)[1]
+                    assert _left(cut.mult.values(), budget) == _best_F(G, cut.X, p)[1]

@@ -1,18 +1,25 @@
 """Outputs pinned by SHA-256 digest. A refactor that is meant to keep the
 pipeline's behaviour must keep these digests; any change to a system or a
-report shows here. The six cases run the sparse-expander completion
+report shows here. The first six cases run the sparse-expander completion
 (inside separate_all), the dense tripartition, the high-degree completion,
 the dense stage reached through separate_all, a sparse graph whose
 bit-code baseline decomposes subgraphs of many components, and the sparse
 expander on its own where the spread limit binds and every completion
-falls back."""
+falls back. The last two pin the two searches the pipeline builds on:
+expander_decompose under the pipeline's three ExpanderParams, and
+complete_to_path on seeded cores of several paths."""
 
 import hashlib
 import random
 
 from seppath.cli import system_to_text
-from seppath.graphs import Graph, generate
+from seppath.connector import CompletionProblem, complete_to_path
+from seppath.expander import ExpanderParams, expander_decompose
+from seppath.graphs import Graph, Path, generate
 from seppath.strategies import (
+    EPSILON,
+    S_DENSE,
+    S_SPARSE,
     separate_all,
     separate_dense_expander,
     separate_high_degree,
@@ -56,6 +63,82 @@ def three_block_graph(seed):
             edges.add(e)
             inter += 1
     return Graph(n, edges)
+
+
+def pipeline_params(G):
+    """The three ExpanderParams the pipeline splits with: zero budget
+    (reduce_small_deg), the sparse split at t = d, and the dense split at
+    t = 2n/3."""
+    n = len(G)
+    return (ExpanderParams(EPSILON, s=0.0, t=1.0),
+            ExpanderParams(EPSILON, s=S_SPARSE, t=max(1.0, G.avg_degree())),
+            ExpanderParams(EPSILON, s=S_DENSE, t=max(1.0, 2 * n / 3)))
+
+
+def decomposition_text(G, p):
+    """Each part's live set and edges, then the uncovered edges."""
+    try:
+        D = expander_decompose(G, p)
+    except AssertionError as exc:
+        return "error %s" % exc
+    return "%r %r" % ([(sorted(H.live), sorted(H.edges)) for H in D.parts],
+                      sorted(D.uncovered))
+
+
+def _random_core(G, rng):
+    """Vertex-disjoint paths of 1 to 3 edges, grown by random walks."""
+    used = set()
+    core = []
+    for _ in range(rng.randint(2, 6)):
+        free = [v for v in G.vertices() if v not in used and G.degree(v)]
+        if not free:
+            break
+        walk = [rng.choice(free)]
+        used.add(walk[0])
+        for _ in range(rng.randint(1, 3)):
+            nxt = [w for w in G.neighbors(walk[-1]) if w not in used]
+            if not nxt:
+                break
+            walk.append(rng.choice(nxt))
+            used.add(walk[-1])
+        if len(walk) > 1:
+            core.append(Path(walk))
+        else:
+            used.discard(walk[0])
+    return core
+
+
+def completion_problems(count=1000):
+    """Seeded complete_to_path problems whose cores hold two or more paths,
+    in G(n, p), grids, hypercubes and cycles; every other one forbids a
+    random share of the edges and vertices outside its core."""
+    for i in range(count):
+        rng = random.Random("completion:%d" % i)
+        family = ("gnp", "grid", "hypercube", "cycle")[i % 4]
+        if family == "gnp":
+            G = generate("gnp", rng.randint(6, 40), rng.choice((0.1, 0.2, 0.4)), seed=i)
+        elif family == "grid":
+            G = generate("grid", rng.randint(2, 7), rng.randint(3, 8))
+        elif family == "hypercube":
+            G = generate("hypercube", rng.randint(2, 5))
+        else:
+            G = generate("cycle", rng.randint(5, 40))
+        core = _random_core(G, rng)
+        if len(core) < 2:
+            continue
+        fe, fv = (), ()
+        if i % 2:
+            core_vs = {v for p in core for v in p.vertices}
+            core_es = {e for p in core for e in p.edges()}
+            share = rng.choice((0.1, 0.25))
+            fe = [e for e in sorted(G.edges) if e not in core_es and rng.random() < share]
+            fv = [v for v in G.vertices() if v not in core_vs and rng.random() < share / 2]
+        yield "%d/%s" % (i, family), CompletionProblem(G, core, fe, fv)
+
+
+def completion_text(prob):
+    p = complete_to_path(prob)
+    return "None" if p is None else " ".join(map(str, p.vertices))
 
 
 def test_separate_all_output_pinned():
@@ -102,3 +185,25 @@ def test_sparse_expander_fallback_pinned():
     assert st.fallback_count == 60
     assert digest(system_to_text(st.system)) == (
         "b2d16828f80a0ddc09b497c909f40965513ac1474af1469fa68469c6882d0bbf")
+
+
+def test_expander_decompose_pinned():
+    # 30 seeded G(n, p) with n <= 45 and the three-block graph, each under
+    # the pipeline's three ExpanderParams
+    graphs = []
+    for i in range(30):
+        rng = random.Random("expander-pin:%d" % i)
+        graphs.append(generate("gnp", rng.randint(4, 45),
+                               rng.choice((0.1, 0.2, 0.35, 0.5, 0.8)), seed=i))
+    graphs.append(three_block_graph(1001))
+    text = "\n".join(decomposition_text(G, p) for G in graphs
+                     for p in pipeline_params(G))
+    assert digest(text) == (
+        "17d305ad3841e6454a0bf860f8546e8c87f7c9afc101f4797ce5e0c566a01bc6")
+
+
+def test_complete_to_path_pinned():
+    outs = [name + " " + completion_text(prob) for name, prob in completion_problems()]
+    assert len(outs) > 900
+    assert digest("\n".join(outs)) == (
+        "0324c89670624abd2d333d1a720731bd43fc52d233a969eb21f3ebefc04ff931")

@@ -16,13 +16,20 @@ pipeline rarely reaches: `separate_dense_expander` and
 G(n, p) with n <= 45, the sparse one also on two cycles and two grids
 with d in 1 to 5, and `separate_high_degree` on hub graphs (the
 four-hub graph of tests/test_pinned_outputs.py and variants in hub count,
-hub edges and d). Each in-process case hashes the system text and the report
-CSV; each direct case hashes the stage's system text, fallback count,
-residual edges and part count; each command-line case hashes both written
-files and both exit codes. The corpora and the acceptance instances come
-from this repository's perfbench/corpus.py and tests/test_acceptance.py,
-built with the graph generators of the tree under test. Takes about 100 s
-on a 2-vCPU VM.
+hub edges and d). Two searches are also called directly:
+`expander_decompose` on the same 120 graphs under the pipeline's three
+ExpanderParams (zero budget, the sparse split at t = d, the dense split at
+t = 2n/3), and `complete_to_path` on the seeded multi-path cores of
+tests/test_pinned_outputs.py. Each in-process case hashes the system text
+and the report CSV; each direct stage case hashes the stage's system text,
+fallback count, residual edges and part count; each decomposition case
+hashes the parts' live sets and edges and the uncovered edges; each
+completion case hashes the path's vertices, or None; each command-line case
+hashes both written files and both exit codes. The corpora, the acceptance
+instances and the completion problems come from this repository's
+perfbench/corpus.py, tests/test_acceptance.py and
+tests/test_pinned_outputs.py, built with the graph generators of the tree
+under test. Takes about 100 s on a 2-vCPU VM.
 """
 
 import argparse
@@ -90,15 +97,20 @@ def hub_graph(hubs, shared, leaves, hub_edges):
     return Graph(nxt, edges)
 
 
-def stage_cases():
+def stage_graphs():
     from seppath.graphs import generate
-    from seppath import strategies
     for i in range(STAGE_GRAPHS):
         rng = random.Random("stages:%d" % i)
         n = rng.randint(4, 45)
         p = rng.choice((0.05, 0.1, 0.2, 0.35, 0.5, 0.8))
-        G = generate("gnp", n, p, seed=i)
-        case = "stage/%d/gnp/%d/%s" % (i, n, p)
+        yield i, "%d/gnp/%d/%s" % (i, n, p), generate("gnp", n, p, seed=i)
+
+
+def stage_cases():
+    from seppath.graphs import generate
+    from seppath import strategies
+    for i, name, G in stage_graphs():
+        case = "stage/" + name
         yield (case + "/dense", stage_digest(strategies.separate_dense_expander, G, i))
         d = SPARSE_D[i % len(SPARSE_D)]
         yield ("%s/sparse/%d" % (case, d),
@@ -122,6 +134,15 @@ def stage_cases():
             yield ("stage/hubs/%d/%d/%d/%d/%.3f" % (hubs, shared, leaves,
                                                    hub_edges, d),
                    stage_digest(strategies.separate_high_degree, G, d))
+
+
+def search_cases(pins):
+    for _, name, G in stage_graphs():
+        for k, p in enumerate(pins.pipeline_params(G)):
+            yield ("expander/%s/%d" % (name, k),
+                   sha(pins.decomposition_text(G, p)))
+    for name, prob in pins.completion_problems():
+        yield "completion/" + name, sha(pins.completion_text(prob))
 
 
 def through_cli(inst):
@@ -154,6 +175,10 @@ def cases(workdir):
         yield ("acceptance/%s/%s/%d/%d" % (fam, param, n, seed),
                in_process(G, seed))
     yield from stage_cases()
+    # test_pinned_outputs imports its sibling test modules
+    sys.path.append(os.path.join(ROOT, "tests"))
+    yield from search_cases(load("pinned", os.path.join(ROOT, "tests",
+                                                        "test_pinned_outputs.py")))
 
 
 def main(argv=None):
