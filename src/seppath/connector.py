@@ -8,22 +8,19 @@ from collections import deque
 from .graphs import Path, PathForest, canonical_edge
 
 MAX_LEN = 24        # longest connector, in edges
-RETRIES = 20        # random routing orders tried before the fixed one
+MIN_LEN = 2         # shortest connector: at least one interior vertex
 
 
 class ConnectionRequest:
-    __slots__ = ("host", "through", "pairs", "min_len", "seed")
+    __slots__ = ("host", "through", "pairs", "seed")
 
-    def __init__(self, host, through, pairs, seed=0, min_len=1):
+    def __init__(self, host, through, pairs, seed=0):
         self.host = host
         self.through = frozenset(through)
         self.pairs = tuple(tuple(p) for p in pairs)
         ends = [v for p in self.pairs for v in p]
         if len(set(ends)) != len(ends):
             raise ValueError("pair endpoints must be pairwise distinct")
-        if not (1 <= min_len <= MAX_LEN):
-            raise ValueError("need 1 <= min_len <= %d" % MAX_LEN)
-        self.min_len = min_len
         self.seed = seed
 
 
@@ -68,50 +65,27 @@ def _bfs_path(G, a, b, blocked, max_len, min_len=1):
     return None
 
 
-def _route_in_order(req, order):
+def connect_pairs_through(req):
+    """
+    Route every pair through the designated vertex pool with pairwise disjoint
+    interiors: sequential shortest paths of MIN_LEN to MAX_LEN edges, in one
+    order shuffled by the request's seed. Returns None on failure.
+    """
+    order = list(range(len(req.pairs)))
+    random.Random(req.seed * 1000003).shuffle(order)
     ends = {v for p in req.pairs for v in p}
-    allowed_interior = req.through - ends
-    blocked_base = set(req.host.live) - allowed_interior
+    blocked_base = set(req.host.live) - (req.through - ends)
     used = set()
     routed = {}
     for idx in order:
         x, y = req.pairs[idx]
         blocked = (blocked_base | used) - {y}
-        p = _bfs_path(req.host, x, y, blocked, MAX_LEN, req.min_len)
+        p = _bfs_path(req.host, x, y, blocked, MAX_LEN, MIN_LEN)
         if p is None:
             return None
         routed[idx] = p
         used.update(p[1:-1])
     return [Path(routed[i]) for i in range(len(req.pairs))]
-
-
-def connect_pairs_through(req):
-    """
-    Route every pair through the designated vertex pool with pairwise disjoint
-    interiors: sequential shortest paths in random order with retries, then a
-    deterministic fewest-alternatives-first pass. Returns None on failure.
-    """
-    r = len(req.pairs)
-    if r == 0:
-        return []
-    for attempt in range(RETRIES):
-        rng = random.Random(req.seed * 1000003 + attempt)
-        order = list(range(r))
-        rng.shuffle(order)
-        result = _route_in_order(req, order)
-        if result is not None:
-            return result
-    # pairs with longer shortest routes have fewer alternatives; route them first
-    ends = {v for p in req.pairs for v in p}
-    blocked_base = set(req.host.live) - (req.through - ends)
-
-    def solo_len(idx):
-        x, y = req.pairs[idx]
-        p = _bfs_path(req.host, x, y, blocked_base - {y}, MAX_LEN, req.min_len)
-        return len(p) if p else req.host.n + 1
-
-    order = sorted(range(r), key=lambda i: (-solo_len(i), i))
-    return _route_in_order(req, order)
 
 
 def check_connection(req, paths):
@@ -124,7 +98,7 @@ def check_connection(req, paths):
         vs = p.vertices
         if {vs[0], vs[-1]} != {x, y} or not p.valid_in(req.host):
             return False
-        if not (req.min_len <= len(p) <= MAX_LEN):
+        if not (MIN_LEN <= len(p) <= MAX_LEN):
             return False
         interior = set(vs[1:-1])
         if not interior <= req.through:
@@ -193,47 +167,33 @@ def extend_matching_through_hubs(host, M, hubs):
     order, join a leaf with a leaf of another component whenever they share an
     unused hub neighbor, consuming the hub.
     """
-    hubs = set(hubs)
+    unused = set(hubs)
     medges = [canonical_edge(*e) for e in M]
     mvertices = {v for e in medges for v in e}
-    if hubs & mvertices:
+    if unused & mvertices:
         raise ValueError("hubs intersect the matching")
     if len(mvertices) != 2 * len(medges):
         raise ValueError("M is not a matching")
     chains = [list(e) for e in medges]
-    chain_of = {}
-    for i, c in enumerate(chains):
-        for v in c:
-            chain_of[v] = i
-    unused = set(hubs)
-
-    def leaf_ends():
-        out = {}
-        for i, c in enumerate(chains):
-            if c is not None:
-                out[c[0]] = i
-                out[c[-1]] = i
-        return out
-
+    end_of = {v: i for i, e in enumerate(medges) for v in e}
     for e in medges:
         for v in e:
-            ends = leaf_ends()
-            if v not in ends:
+            if v not in end_of:
                 continue
-            i = ends[v]
-            joined = False
+            i = end_of[v]
             for h in sorted(unused & set(host.neighbors(v))):
-                for v2 in sorted(set(host.neighbors(h)) & set(ends)):
-                    j = ends[v2]
-                    if j == i:
-                        continue
-                    a = chains[i] if chains[i][-1] == v else chains[i][::-1]
-                    b = chains[j] if chains[j][0] == v2 else chains[j][::-1]
-                    chains[i] = a + [h] + b
-                    chains[j] = None
-                    unused.discard(h)
-                    joined = True
-                    break
-                if joined:
-                    break
+                others = sorted(w for w in host.neighbors(h)
+                                if w in end_of and end_of[w] != i)
+                if not others:
+                    continue
+                v2 = others[0]
+                j = end_of[v2]
+                a = chains[i] if chains[i][-1] == v else chains[i][::-1]
+                b = chains[j] if chains[j][0] == v2 else chains[j][::-1]
+                chains[i] = a + [h] + b
+                chains[j] = None
+                unused.discard(h)
+                del end_of[v], end_of[v2]
+                end_of[b[-1]] = i
+                break
     return PathForest([Path(c) for c in chains if c is not None])

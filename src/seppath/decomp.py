@@ -215,7 +215,7 @@ def _merge_pass(paths):
                         continue
                     a = p if p[-1] == end else p[::-1]
                     b = q if q[0] == end else q[::-1]
-                    if a[-1] != end or b[0] != end:
+                    if b[0] != end:
                         continue
                     merged = a + b[1:]
                     if len(set(merged)) == len(merged):
@@ -240,8 +240,6 @@ def _decompose_component(comp_edges):
     edges_left, touched = len(comp_edges), len(adj)
     while touched and 2 * edges_left / touched > DENSE_THRESHOLD:
         p = _extract_long_path(adj)
-        if len(p) < 2:
-            break
         long_paths.append(p)
         edges_left -= len(p) - 1
         touched -= sum(1 for v in p if not adj[v])

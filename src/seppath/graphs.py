@@ -17,7 +17,7 @@ class Graph:
     via a live-vertex mask; len(G) counts live vertices only.
     """
 
-    __slots__ = ("n", "edges", "adj", "live", "_hash")
+    __slots__ = ("n", "edges", "adj", "live")
 
     def __init__(self, n, edges, live=None):
         if n < 0:
@@ -40,7 +40,6 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        self._hash = None
 
     def __len__(self):
         return len(self.live)
@@ -49,11 +48,6 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return (self.n, self.live, self.edges) == (other.n, other.live, other.edges)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, self.live, self.edges))
-        return self._hash
 
     def __repr__(self):
         return "Graph(n=%d, live=%d, edges=%d)" % (self.n, len(self.live), len(self.edges))
@@ -134,9 +128,6 @@ class Path:
         if not isinstance(other, Path):
             return NotImplemented
         return self.vertices == other.vertices or self.vertices == other.vertices[::-1]
-
-    def __hash__(self):
-        return hash(min(self.vertices, self.vertices[::-1]))
 
     def __repr__(self):
         return "Path(%s)" % "-".join(map(str, self.vertices))

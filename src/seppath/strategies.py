@@ -370,7 +370,7 @@ def _close_matching(host, M, dbar, hubs, pool, target, seed):
         pairs = [(comps[i].vertices[-1], comps[i + 1].vertices[0])
                  for i in range(len(comps) - 1)]
         req = ConnectionRequest(host, pool - forest.vertex_set(), pairs,
-                                seed=seed, min_len=2)
+                                seed=seed)
         conn = connect_pairs_through(req)
         if conn is None:
             return None
@@ -632,7 +632,13 @@ def separate_all(G, seed=0, timings=False):
     while (current.edges and current.avg_degree() >= DEGREE_FLOOR
            and level < max_levels):
         t0 = time.perf_counter()
-        st = one_step(current, seed * 131 + level)
+        step_seed = seed * 131 + level
+        try:
+            st = one_step(current, step_seed)
+        except AssertionError as exc:
+            raise AssertionError("level %d (seed %d, %d vertices, %d edges): %s"
+                                 % (level, step_seed, len(current),
+                                    current.num_edges(), exc)) from exc
         if not st.system.target:
             break
         added = len(st.system.paths)

@@ -1,10 +1,17 @@
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from seppath.cli import main, paths_from_text, system_to_text, write_atomic
-from seppath.graphs import Path, generate, graph_from_edge_list
+from seppath.graphs import Path, generate, graph_from_edge_list, serialize_edge_list
 from seppath.separation import PathSystem
+from test_decomp import relabel
+from test_pinned_outputs import three_block_graph
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -63,6 +70,48 @@ def test_separate_rerun_byte_identical(tmp_path):
                     "--out-report", str(r), "--seed", "7"]) == 0
         outs.append((s.read_bytes(), r.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_separate_output_independent_of_hash_seed(tmp_path):
+    # the determinism tests rerun in one process, under one hash order; here
+    # two interpreters with different string hash seeds must write the same
+    # files, for the dense stage over two levels and for the bit-code baseline
+    inputs = (("blocks", three_block_graph(1001), 1001),
+              ("cube", relabel(generate("hypercube", 8), 8), 8))
+    for name, G, seed in inputs:
+        g = tmp_path / (name + ".edges")
+        g.write_text(serialize_edge_list(G))
+        outs = []
+        for hash_seed in ("1", "2"):
+            s = tmp_path / ("%s-%s.system" % (name, hash_seed))
+            r = tmp_path / ("%s-%s.csv" % (name, hash_seed))
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
+            subprocess.run([sys.executable, "-m", "seppath.cli", "separate",
+                            "--in", str(g), "--out-system", str(s),
+                            "--out-report", str(r), "--seed", str(seed)],
+                           env=env, check=True, capture_output=True)
+            outs.append((s.read_bytes(), r.read_bytes()))
+        assert outs[0] == outs[1], name
+
+
+def test_separate_timings_changes_only_elapsed(tmp_path):
+    g = tmp_path / "g.edges"
+    run(["gen", "gnp", "40", "0.5", "--seed", "0", "--out", str(g)])
+    outs = []
+    for extra in ([], ["--timings"]):
+        s = tmp_path / ("s%d" % len(extra))
+        r = tmp_path / ("r%d" % len(extra))
+        assert run(["separate", "--in", str(g), "--out-system", str(s),
+                    "--out-report", str(r)] + extra) == 0
+        outs.append((s.read_text(), [line.split(",")
+                                     for line in r.read_text().splitlines()]))
+    (plain_system, plain_rows), (timed_system, timed_rows) = outs
+    assert timed_system == plain_system
+    col = plain_rows[0].index("elapsed_ms")
+    assert len(timed_rows) == len(plain_rows)
+    for plain, timed in zip(plain_rows[1:], timed_rows[1:]):
+        assert timed[:col] + timed[col + 1:] == plain[:col] + plain[col + 1:]
+        assert timed[col].isdigit()
 
 
 def test_separate_missing_input_exit_io(tmp_path):

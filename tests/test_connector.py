@@ -15,14 +15,6 @@ from seppath.decomp import decompose_into_paths
 from seppath.graphs import Graph, Path, generate
 
 
-def test_connect_direct_edge():
-    G = Graph(2, [(0, 1)])
-    req = ConnectionRequest(G, set(), [(0, 1)])
-    paths = connect_pairs_through(req)
-    assert paths is not None and paths[0].vertices in ((0, 1), (1, 0))
-    assert check_connection(req, paths)
-
-
 def test_connect_through_star_center():
     G = generate("star", 6)
     req = ConnectionRequest(G, {0}, [(1, 2)])
@@ -32,15 +24,16 @@ def test_connect_through_star_center():
 
 
 def test_connect_min_len_skips_direct_edge():
-    # triangle plus the direct edge: min_len=2 must route around it
+    # triangle plus the direct edge: a connector has an interior vertex, so
+    # it routes around the edge
     G = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    req = ConnectionRequest(G, {2}, [(0, 1)], min_len=2)
+    req = ConnectionRequest(G, {2}, [(0, 1)])
     paths = connect_pairs_through(req)
     assert paths is not None and len(paths[0]) == 2
     assert check_connection(req, paths)
     # no detour available: must fail rather than use the direct edge
     H = Graph(2, [(0, 1)])
-    req2 = ConnectionRequest(H, set(), [(0, 1)], min_len=2)
+    req2 = ConnectionRequest(H, set(), [(0, 1)])
     assert connect_pairs_through(req2) is None
 
 

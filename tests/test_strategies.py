@@ -32,7 +32,7 @@ from seppath.strategies import (
     separate_high_degree,
     separate_sparse_expander,
 )
-from test_pinned_outputs import four_hub_graph
+from test_pinned_outputs import four_hub_graph, three_block_graph
 
 
 def test_iterated_log_values():
@@ -397,6 +397,31 @@ def test_separate_all_deterministic():
     assert [p.vertices for p in s1.paths] == [p.vertices for p in s2.paths]
     assert r1.to_csv() == r2.to_csv()
     assert r1.selected == r2.selected
+
+
+def test_separate_all_failed_level_names_itself(monkeypatch):
+    # an internal check failing inside a level keeps its type and message
+    # and gains the level, its seed and the residual's size
+    def failing(G, seed):
+        raise AssertionError("audit failed")
+
+    monkeypatch.setattr("seppath.strategies.one_step", failing)
+    G = generate("gnp", 40, 0.5, seed=0)
+    with pytest.raises(AssertionError) as exc:
+        separate_all(G, seed=2)
+    assert str(exc.value) == ("level 0 (seed 262, 40 vertices, %d edges): "
+                              "audit failed" % G.num_edges())
+    assert str(exc.value.__cause__) == "audit failed"
+
+
+def test_separate_all_names_the_level_of_instance_106001():
+    # the benchmark's clustered instance 106001 overshoots the decomposition
+    # bound at its second level (ROADMAP Direction 4); once the bound holds
+    # by construction, this instance should separate instead
+    with pytest.raises(AssertionError, match=r"^level 1 \(seed 13886132, 90 "
+                       r"vertices, 848 edges\): path decomposition produced "
+                       r"17 > n = 15 paths$"):
+        separate_all(three_block_graph(106001), seed=106001)
 
 
 def test_separate_all_residual_monotone():
