@@ -61,16 +61,25 @@ def system_to_text(system):
 
 
 def paths_from_text(text):
-    """Parse a system file back into a list of vertex tuples."""
+    """Parse a system file back into a list of vertex tuples, checking the
+    count of a '# paths=' header when there is one."""
     version_seen = False
+    declared = None
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if line[1:].strip() == SYSTEM_FORMAT:
+            body = line[1:].strip()
+            if body == SYSTEM_FORMAT:
                 version_seen = True
+            elif body.startswith("paths="):
+                value = body[6:].strip()
+                try:
+                    declared = int(value)
+                except ValueError:
+                    raise ValueError("line %d: bad path count %r" % (lineno, value))
             continue
         try:
             vs = [int(x) for x in line.split()]
@@ -81,6 +90,8 @@ def paths_from_text(text):
         out.append(tuple(vs))
     if not version_seen:
         raise ValueError("missing '%s' header" % SYSTEM_FORMAT)
+    if declared is not None and declared != len(out):
+        raise ValueError("header declares %d paths, file holds %d" % (declared, len(out)))
     return out
 
 

@@ -27,8 +27,7 @@ class PathDecomposition:
                 if e in index:
                     raise ValueError("edge %r covered twice" % (e,))
                 index[e] = pid
-        # a simple path whose edges are all host edges is valid in the host:
-        # each of its vertices lies on one of those edges, so it is live
+        # every path edge a host edge: the rule of Path.valid_in
         if index.keys() != host.edges:
             extra = index.keys() - host.edges
             if extra:

@@ -137,10 +137,9 @@ class Path:
         return [(a, b) if a < b else (b, a) for a, b in zip(vs, vs[1:])]
 
     def valid_in(self, G):
-        vs = self.vertices
-        return all(v in G.live for v in vs) and all(
-            G.has_edge(vs[i], vs[i + 1]) for i in range(len(vs) - 1)
-        )
+        # a simple path whose edges are all host edges is valid in the host:
+        # each of its vertices lies on one of those edges, so it is live
+        return G.edges.issuperset(self.edges())
 
 
 class PathForest:
@@ -204,7 +203,13 @@ def graph_from_edge_list(text):
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("n="):
-                n_override = int(body[2:])
+                value = body[2:].strip()
+                try:
+                    n_override = int(value)
+                except ValueError:
+                    n_override = -1
+                if n_override < 0:
+                    raise ValueError("line %d: bad vertex count %r" % (lineno, value))
             continue
         parts = line.split()
         if len(parts) != 2:

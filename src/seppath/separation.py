@@ -41,27 +41,26 @@ class SeparationReport:
             self.ok, self.witness, self.covered)
 
 
-def _signatures(system):
-    """Per-target-edge bitmap of the paths containing it."""
-    sig = {e: 0 for e in system.target}
-    for i, p in enumerate(system.paths):
-        if not p.valid_in(system.host):
-            raise ValueError("path %r not valid in host graph" % (p,))
-        bit = 1 << i
-        for e in p.edges():
-            if e in sig:
-                sig[e] |= bit
-    return sig
-
-
 def verify_separation(system):
     """
     Check the separation property. Strong: every ordered pair (e, f) of
     distinct target edges has a path containing e but not f. Weak: every
     unordered pair has a path containing exactly one. Witness is the
-    lexicographically least violating pair.
+    lexicographically least violating pair. One walk per path checks it by
+    the rule of Path.valid_in and records its target edges.
     """
-    sig = _signatures(system)
+    host_edges = system.host.edges
+    sig = {e: 0 for e in system.target}
+    targets_of_path = []
+    for i, p in enumerate(system.paths):
+        pe = p.edges()
+        if not host_edges.issuperset(pe):
+            raise ValueError("path %r not valid in host graph" % (p,))
+        bit = 1 << i
+        on_path = [e for e in pe if e in sig]
+        for e in on_path:
+            sig[e] |= bit  # the signature of e: a bitmap of its paths
+        targets_of_path.append(on_path)
     edges = sorted(system.target)
     covered = sum(1 for e in edges if sig[e])
     if len(edges) < 2:
@@ -79,9 +78,6 @@ def verify_separation(system):
                 by_sig[sig[e]] = e
         return SeparationReport(witness is None, witness, covered)
     # strong: (e, f) violated iff every path containing e also contains f
-    edge_list_of_path = [
-        [e for e in p.edges() if e in sig] for p in system.paths
-    ]
     for e in edges:
         se = sig[e]
         if se == 0:
@@ -89,7 +85,7 @@ def verify_separation(system):
             return SeparationReport(False, (e, f), covered)
         first_path = (se & -se).bit_length() - 1
         best = None
-        for f in edge_list_of_path[first_path]:
+        for f in targets_of_path[first_path]:
             if f != e and (se & ~sig[f]) == 0:
                 if best is None or f < best:
                     best = f

@@ -382,7 +382,8 @@ def _close_matching(host, M, dbar, hubs, pool, target, seed):
         p = Path(vs)
     except ValueError:
         return None
-    if not p.valid_in(host) or set(p.edges()) & target != set(M):
+    pe = set(p.edges())
+    if not pe <= host.edges or pe & target != set(M):
         return None
     return p
 
@@ -533,16 +534,16 @@ def separate_sparse_expander(J, d):
 
 def reduce_small_deg(G):
     """
-    Split into expanders with zero deletion budget; per part, peel off the
-    high-degree edges, then re-split the rest with the sparse budget. Large
-    sub-parts are separated here; small ones are returned for the dense
-    treatment; uncovered edges accumulate into the residual.
+    Split into expanders with zero deletion budget, and each part again with
+    the sparse budget. Large sub-parts are separated here, small ones are
+    returned for the dense stage, uncovered edges go to the residual.
     """
     d = G.avg_degree()
     n = max(1, len(G))
     if not G.edges or d < DEGREE_FLOOR:
         return _empty_stage(G, "reduce-small-deg"), []
     p0 = ExpanderParams(EPSILON, s=0.0, t=1.0)
+    p1 = ExpanderParams(EPSILON, s=S_SPARSE, t=max(1.0, d))
     D0 = expander_decompose(G, p0)
     paths = []
     fb = 0
@@ -550,16 +551,11 @@ def reduce_small_deg(G):
     separated = set()
     residual_edges = set()
     part_count = len(D0.parts)
+    # no high-degree step: d >= 16, len(H) < 16^7 give threshold len(H) > any degree
     for H in D0.parts:
-        st1 = separate_high_degree(H, d)
-        paths.extend(st1.system.paths)
-        fb += st1.fallback_count
-        separated |= st1.system.target
-        R = st1.residual
-        if not R.edges:
+        if not H.edges:
             continue
-        p1 = ExpanderParams(EPSILON, s=S_SPARSE, t=max(1.0, d))
-        D1 = expander_decompose(R, p1)
+        D1 = expander_decompose(H, p1)
         part_count += len(D1.parts)
         residual_edges |= D1.uncovered
         for F in D1.parts:

@@ -7,7 +7,7 @@ import pytest
 
 from seppath.cli import main, paths_from_text, system_to_text, write_atomic
 from seppath.graphs import Path, generate, graph_from_edge_list, serialize_edge_list
-from seppath.separation import PathSystem
+from seppath.separation import PathSystem, singleton_baseline
 from test_decomp import relabel
 from test_pinned_outputs import three_block_graph
 
@@ -124,6 +124,14 @@ def test_separate_malformed_input_exit_usage(tmp_path):
     assert run(["separate", "--in", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_separate_bad_vertex_count_names_its_line(tmp_path, capsys, value):
+    g = tmp_path / "g.edges"
+    g.write_text("# n=%s\n0 1\n" % value)
+    assert run(["separate", "--in", str(g)]) == 2
+    assert capsys.readouterr().err == "error: line 1: bad vertex count %r\n" % value
+
+
 def test_separate_config_override(tmp_path, capsys):
     g = tmp_path / "g.edges"
     run(["gen", "path", "6", "--out", str(g)])
@@ -167,6 +175,27 @@ def test_verify_rejects_near_miss_headers(tmp_path):
         assert run(["verify", "--graph", str(g), "--system", str(s)]) == 2
     s.write_text("#  seppath-system v1 \n0 1\n1 2\n")
     assert run(["verify", "--graph", str(g), "--system", str(s)]) == 0
+
+
+def test_verify_checks_the_path_count(tmp_path, capsys):
+    g = tmp_path / "g.edges"
+    s = tmp_path / "s"
+    run(["gen", "path", "6", "--out", str(g)])
+    full = system_to_text(singleton_baseline(graph_from_edge_list(g.read_text())))
+    lines = full.splitlines()
+    assert lines[3] == "# paths=5"
+    verify = ["verify", "--graph", str(g), "--system", str(s)]
+    s.write_text(full)
+    assert run(verify) == 0
+    s.write_text("\n".join(lines[:-3]) + "\n")  # truncated to 2 paths
+    assert run(verify) == 2
+    assert capsys.readouterr().err == "error: header declares 5 paths, file holds 2\n"
+    s.write_text("\n".join(lines[:3] + ["# paths=x"] + lines[4:]) + "\n")
+    assert run(verify) == 2
+    assert capsys.readouterr().err == "error: line 4: bad path count 'x'\n"
+    # without the header the count is not checked: the 2 paths fail to separate
+    s.write_text("\n".join(lines[:3] + lines[4:-3]) + "\n")
+    assert run(verify) == 1
 
 
 def test_verify_weak_mode_of_strong_system(tmp_path):

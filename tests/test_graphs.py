@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from seppath.graphs import (
     Graph,
+    Path,
     ball,
     generate,
     graph_from_edge_list,
@@ -173,3 +174,58 @@ def test_components_partition_live_vertices(G):
     flat = [v for c in comps for v in c]
     assert sorted(flat) == G.vertices()
     assert len(set(flat)) == len(flat)
+
+
+def ref_valid_in(p, G):
+    """The vertex-and-edge rule Path.valid_in used before the edge-subset
+    rule, kept as a reference: every vertex live, every step an edge."""
+    vs = p.vertices
+    return all(v in G.live for v in vs) and all(
+        G.has_edge(vs[i], vs[i + 1]) for i in range(len(vs) - 1)
+    )
+
+
+def random_walk(rng, G, length):
+    """A simple path along edges of G, or None if its start is isolated."""
+    vs = [rng.choice(G.vertices())]
+    while len(vs) <= length:
+        nxt = [w for w in G.neighbors(vs[-1]) if w not in vs]
+        if not nxt:
+            break
+        vs.append(rng.choice(nxt))
+    return Path(vs) if len(vs) >= 2 else None
+
+
+def test_valid_in_matches_reference_in_views():
+    rng = random.Random(5)
+    outcomes = {True: 0, False: 0}
+    dead_vertex = last_edge_only = 0
+    for _ in range(300):
+        n = rng.randint(3, 12)
+        G = generate("gnp", n, rng.choice([0.3, 0.6, 0.9]), seed=rng.randrange(10**9))
+        if not G.edges:
+            continue
+        cut = rng.sample(range(n), rng.randint(0, n // 3))
+        if rng.random() < 0.5:
+            banned = rng.sample(sorted(G.edges), rng.randint(0, len(G.edges) // 3))
+            view = G.without(vertices=cut, edges=banned)
+        else:
+            view = G.induced(set(range(n)) - set(cut))
+        for _ in range(8):
+            # walks in G cross dead vertices and banned edges of the view;
+            # random sequences cross non-edges of G
+            if rng.random() < 0.7:
+                p = random_walk(rng, G, rng.randint(1, 6))
+            else:
+                p = Path(rng.sample(range(n), rng.randint(2, min(n, 6))))
+            if p is None:
+                continue
+            want = ref_valid_in(p, view)
+            assert p.valid_in(view) == want, (p, view)
+            outcomes[want] += 1
+            dead_vertex += any(v not in view.live for v in p.vertices)
+            es = p.edges()
+            last_edge_only += (es[-1] not in view.edges
+                               and all(e in view.edges for e in es[:-1]))
+    assert min(outcomes.values()) >= 400
+    assert dead_vertex >= 400 and last_edge_only >= 200

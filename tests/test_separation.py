@@ -217,3 +217,83 @@ def test_baseline_nlogn():
         if m > 1:
             bits = max(1, (m - 1).bit_length())
             assert len(sys_) <= 2 * bits * len(G)
+
+
+def ref_verify_separation(system):
+    """The two-walk verifier that the one-walk verify_separation replaced,
+    kept as a reference: signatures under the vertex-and-edge validity rule,
+    then a second walk for each path's target edges."""
+    host = system.host
+    sig = {e: 0 for e in system.target}
+    for i, p in enumerate(system.paths):
+        vs = p.vertices
+        if not (all(v in host.live for v in vs) and all(
+                host.has_edge(vs[j], vs[j + 1]) for j in range(len(vs) - 1))):
+            raise ValueError("path %r not valid in host graph" % (p,))
+        for e in p.edges():
+            if e in sig:
+                sig[e] |= 1 << i
+    edges = sorted(system.target)
+    covered = sum(1 for e in edges if sig[e])
+    if len(edges) < 2:
+        return True, None, covered
+    if system.mode == "weak":
+        by_sig = {}
+        witness = None
+        for e in edges:
+            other = by_sig.get(sig[e])
+            if other is not None:
+                if witness is None or (other, e) < witness:
+                    witness = (other, e)
+            else:
+                by_sig[sig[e]] = e
+        return witness is None, witness, covered
+    edge_list_of_path = [[e for e in p.edges() if e in sig] for p in system.paths]
+    for e in edges:
+        se = sig[e]
+        if se == 0:
+            return False, (e, next(x for x in edges if x != e)), covered
+        first_path = (se & -se).bit_length() - 1
+        best = None
+        for f in edge_list_of_path[first_path]:
+            if f != e and (se & ~sig[f]) == 0 and (best is None or f < best):
+                best = f
+        if best is not None:
+            return False, (e, best), covered
+    return True, None, covered
+
+
+def outcome(verify, system):
+    try:
+        rep = verify(system)
+    except ValueError as exc:
+        return "raise", str(exc)
+    return rep if isinstance(rep, tuple) else (rep.ok, rep.witness, rep.covered)
+
+
+def test_verifier_matches_reference_on_random_systems():
+    rng = random.Random(13)
+    kinds = {"raise": 0, True: 0, False: 0}
+    uncovered = 0
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        G = generate("gnp", n, rng.choice([0.3, 0.5, 0.8]), seed=rng.randrange(10**9))
+        universe = all_simple_paths(G)
+        paths = rng.sample(universe, rng.randint(0, min(len(universe), 6)))
+        if universe and rng.random() < 0.3:
+            # an invalid path: a host path run on over a non-edge, either way
+            vs = rng.choice(universe).vertices
+            far = [v for v in range(n) if v not in vs and not G.has_edge(vs[-1], v)]
+            if far:
+                bad = vs + (rng.choice(far),)
+                paths.insert(rng.randint(0, len(paths)),
+                             Path(bad if rng.random() < 0.5 else bad[::-1]))
+        edges = sorted(G.edges)
+        target = (None if rng.random() < 0.5
+                  else rng.sample(edges, rng.randint(0, len(edges))))
+        system = PathSystem(G, paths, target=target, mode=rng.choice(["strong", "weak"]))
+        got = outcome(verify_separation, system)
+        assert got == outcome(ref_verify_separation, system), system.paths
+        kinds[got[0]] += 1
+        uncovered += got[0] != "raise" and got[2] < len(system.target)
+    assert min(kinds.values()) >= 40 and uncovered >= 40

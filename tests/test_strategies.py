@@ -8,6 +8,7 @@ from seppath.decomp import decompose_into_bounded_paths, decompose_into_paths
 from seppath.graphs import Graph, Path, ball, generate
 from seppath.separation import verify_separation
 from seppath.strategies import (
+    DEGREE_FLOOR,
     _bucket,
     _bucket_quota,
     _close_or_singletons,
@@ -22,6 +23,7 @@ from seppath.strategies import (
     build_matchings_degree,
     build_matchings_spread,
     build_short_path_unions,
+    degree_threshold,
     iterated_log,
     one_step,
     reduce_large_deg,
@@ -347,6 +349,14 @@ def test_reduce_small_deg_identity_below_floor():
     G = generate("cycle", 20)
     st, small = reduce_small_deg(G)
     assert st.residual.edges == G.edges and not small
+
+
+def test_degree_threshold_is_n_above_floor():
+    # why reduce_small_deg runs no high-degree step: a level has
+    # d >= DEGREE_FLOOR, so no vertex of a part reaches the threshold
+    for d in (DEGREE_FLOOR, 16.5, 40.0, 1000.0):
+        for n in (1, 2, 17, 10**6, 16**7 - 1):
+            assert degree_threshold(d, n) == n
 
 
 def test_reduce_small_deg_runs_dense():
