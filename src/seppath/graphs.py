@@ -194,8 +194,12 @@ def graph_from_edge_list(text):
     Parse line-oriented edge list: optional '# n=<N>' header, then 'u v' lines.
     """
     n_override = None
+    header = None
     edges = set()
     max_v = -1
+    # (line, u, v) of each edge that raises the largest vertex seen so far:
+    # the first edge past the declared count is among them
+    records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -210,6 +214,7 @@ def graph_from_edge_list(text):
                     n_override = -1
                 if n_override < 0:
                     raise ValueError("line %d: bad vertex count %r" % (lineno, value))
+                header = (lineno, line)
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -223,9 +228,17 @@ def graph_from_edge_list(text):
         if u == v:
             raise ValueError("line %d: self-loop" % lineno)
         edges.add(canonical_edge(u, v))
-        max_v = max(max_v, u, v)
-    n = n_override if n_override is not None else max_v + 1
-    return Graph(n, edges)
+        if u > max_v or v > max_v:
+            max_v = max(u, v)
+            records.append((lineno, u, v))
+    if n_override is None:
+        return Graph(max_v + 1, edges)
+    if max_v >= n_override:
+        lineno, u, v = next(r for r in records if max(r[1:]) >= n_override)
+        raise ValueError("line %d: vertex %d out of range for %r on line %d"
+                         % (lineno, u if u >= n_override else v, header[1],
+                            header[0]))
+    return Graph(n_override, edges)
 
 
 def serialize_edge_list(G):

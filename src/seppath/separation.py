@@ -51,13 +51,16 @@ def verify_separation(system):
     """
     host_edges = system.host.edges
     sig = {e: 0 for e in system.target}
+    # the target is a subset of the host's edges, so when the sizes agree
+    # every edge of a valid path is a target edge
+    whole_host = len(sig) == len(host_edges)
     targets_of_path = []
     for i, p in enumerate(system.paths):
         pe = p.edges()
         if not host_edges.issuperset(pe):
             raise ValueError("path %r not valid in host graph" % (p,))
         bit = 1 << i
-        on_path = [e for e in pe if e in sig]
+        on_path = pe if whole_host else [e for e in pe if e in sig]
         for e in on_path:
             sig[e] |= bit  # the signature of e: a bitmap of its paths
         targets_of_path.append(on_path)
@@ -77,15 +80,24 @@ def verify_separation(system):
             else:
                 by_sig[sig[e]] = e
         return SeparationReport(witness is None, witness, covered)
-    # strong: (e, f) violated iff every path containing e also contains f
+    # strong: (e, f) violated iff every path containing e also contains f.
+    # Such an f lies on every path of e, so scanning e's path with the
+    # fewest target edges finds the same violations as scanning any other.
     for e in edges:
         se = sig[e]
         if se == 0:
             f = next(x for x in edges if x != e)
             return SeparationReport(False, (e, f), covered)
-        first_path = (se & -se).bit_length() - 1
+        shortest = targets_of_path[(se & -se).bit_length() - 1]
+        rest = se & (se - 1)
+        while rest and len(shortest) > 1:
+            low = rest & -rest
+            on_path = targets_of_path[low.bit_length() - 1]
+            if len(on_path) < len(shortest):
+                shortest = on_path
+            rest ^= low
         best = None
-        for f in targets_of_path[first_path]:
+        for f in shortest:
             if f != e and (se & ~sig[f]) == 0:
                 if best is None or f < best:
                     best = f

@@ -445,9 +445,16 @@ def reduce_large_deg(G, seed):
     paths = []
     fb = 0
     for k, H in enumerate(D.parts):
-        st = separate_dense_expander(H, seed * 1009 + k)
+        part_seed = seed * 1009 + k
+        try:
+            st = separate_dense_expander(H, part_seed)
+            part_paths = decompose_into_paths(H).paths
+        except AssertionError as exc:
+            raise AssertionError("dense-expander part %d (seed %d, %d vertices, "
+                                 "%d edges): %s" % (k, part_seed, len(H),
+                                                    H.num_edges(), exc)) from exc
         paths.extend(st.system.paths)
-        paths.extend(decompose_into_paths(H).paths)
+        paths.extend(part_paths)
         fb += st.fallback_count
     residual = Graph(G.n, D.uncovered, live=G.live)
     return StageResult(G, paths, G.edges - D.uncovered, residual, fb,

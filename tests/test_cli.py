@@ -132,6 +132,18 @@ def test_separate_bad_vertex_count_names_its_line(tmp_path, capsys, value):
     assert capsys.readouterr().err == "error: line 1: bad vertex count %r\n" % value
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# n=2\n0 5\n", "line 2: vertex 5 out of range for '# n=2' on line 1"),
+    # the header may follow edges; the first edge past it is named
+    ("0 1\n\n7 1\n# n=3\n1 2\n4 0\n", "line 3: vertex 7 out of range for '# n=3' on line 4"),
+])
+def test_separate_vertex_past_header_names_both_lines(tmp_path, capsys, text, message):
+    g = tmp_path / "g.edges"
+    g.write_text(text)
+    assert run(["separate", "--in", str(g)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_separate_config_override(tmp_path, capsys):
     g = tmp_path / "g.edges"
     run(["gen", "path", "6", "--out", str(g)])

@@ -222,7 +222,8 @@ def test_baseline_nlogn():
 def ref_verify_separation(system):
     """The two-walk verifier that the one-walk verify_separation replaced,
     kept as a reference: signatures under the vertex-and-edge validity rule,
-    then a second walk for each path's target edges."""
+    then a second walk for each path's target edges, and a strong check
+    that scans each edge's first path rather than its shortest."""
     host = system.host
     sig = {e: 0 for e in system.target}
     for i, p in enumerate(system.paths):
@@ -297,3 +298,33 @@ def test_verifier_matches_reference_on_random_systems():
         kinds[got[0]] += 1
         uncovered += got[0] != "raise" and got[2] < len(system.target)
     assert min(kinds.values()) >= 40 and uncovered >= 40
+
+
+def test_verifier_matches_reference_on_bit_code_systems():
+    # the strong check scans each edge's path with the fewest target edges;
+    # bit-code systems give most edges a shorter path than their first, and
+    # dropping a share of the paths makes many of them fail on a covered edge
+    rng = random.Random(14)
+    failing = 0
+    shorter_than_first = 0
+    for _ in range(60):
+        n = rng.randint(20, 60)
+        G = generate("gnp", n, rng.choice([0.2, 0.4, 0.6]), seed=rng.randrange(10**9))
+        full = baseline_nlogn(G).paths
+        edges = sorted(G.edges)
+        for drop in (0, 0.3, 0.5):
+            paths = [p for p in full if rng.random() >= drop]
+            target = (None if rng.random() < 0.5
+                      else rng.sample(edges, rng.randint(2, len(edges))))
+            system = PathSystem(G, paths, target=target)
+            got = outcome(verify_separation, system)
+            assert got == outcome(ref_verify_separation, system)
+            on_paths = {e: [] for e in system.target}
+            for p in paths:
+                on_path = [e for e in p.edges() if e in on_paths]
+                for e in on_path:
+                    on_paths[e].append(len(on_path))
+            failing += not got[0] and bool(on_paths[got[1][0]])
+            shorter_than_first += sum(1 for lens in on_paths.values()
+                                      if lens and min(lens) < lens[0])
+    assert failing >= 40 and shorter_than_first >= 1000, (failing, shorter_than_first)

@@ -426,11 +426,13 @@ def test_separate_all_failed_level_names_itself(monkeypatch):
 
 def test_separate_all_names_the_level_of_instance_106001():
     # the benchmark's clustered instance 106001 overshoots the decomposition
-    # bound at its second level (ROADMAP Direction 4); once the bound holds
-    # by construction, this instance should separate instead
+    # bound at its second level, in the first dense part; once the bound
+    # holds by construction, this instance should separate instead (ROADMAP
+    # Direction 4). The message names the level and the part.
     with pytest.raises(AssertionError, match=r"^level 1 \(seed 13886132, 90 "
-                       r"vertices, 848 edges\): path decomposition produced "
-                       r"17 > n = 15 paths$"):
+                       r"vertices, 848 edges\): dense-expander part 0 \(seed "
+                       r"434344323837, 25 vertices, 284 edges\): path "
+                       r"decomposition produced 17 > n = 15 paths$"):
         separate_all(three_block_graph(106001), seed=106001)
 
 
