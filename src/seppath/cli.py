@@ -120,15 +120,15 @@ def cmd_gen(args):
 
 def cmd_separate(args):
     G = graph_from_edge_list(_read_text(args.input))
+    # separate_all verifies the system it returns and raises if it fails
     system, report = separate_all(G, seed=args.seed, timings=args.timings)
-    check = verify_separation(system)
     if args.out_system:
         write_atomic(args.out_system, system_to_text(system))
     if args.out_report:
         write_atomic(args.out_report, report.to_csv())
-    print("n=%d e=%d size=%d selected=%s verified=%s"
-          % (len(G), G.num_edges(), len(system), report.selected, check.ok))
-    return EXIT_OK if check.ok else EXIT_VERIFY
+    print("n=%d e=%d size=%d selected=%s verified=True"
+          % (len(G), G.num_edges(), len(system), report.selected))
+    return EXIT_OK
 
 
 def cmd_verify(args):

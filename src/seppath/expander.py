@@ -144,22 +144,22 @@ def _left(multiplicities, budget):
 
 
 def _peel_order(G):
-    """Repeatedly take the vertex of least live degree, least label first."""
+    """Repeatedly take the vertex of least live degree, least label first.
+    The vertices are yielded as they are taken, so a sweep that stops early
+    pays only for the prefix it read."""
     live_deg = {v: G.degree(v) for v in G.live}
     heap = [(d, v) for v, d in live_deg.items()]
     heapq.heapify(heap)
-    order = []
     while heap:
         d, v = heapq.heappop(heap)
         if live_deg.get(v) != d:
             continue    # taken already, or its degree has dropped since
         del live_deg[v]
-        order.append(v)
+        yield v
         for w in G.neighbors(v):
             if w in live_deg:
                 live_deg[w] -= 1
                 heapq.heappush(heap, (live_deg[w], w))
-    return order
 
 
 def _check_candidate(G, X, p, mult=None):
@@ -173,6 +173,33 @@ def _check_candidate(G, X, p, mult=None):
         mult = Counter(w for v in X for w in G.neighbors(v) if w not in X)
     if _left(mult.values(), p.edge_budget(len(X), n)) < p.threshold(len(X)):
         return (frozenset(X), _best_F(G, X, p)[0])
+    return None
+
+
+def _exhaustive_search(G, p):
+    """
+    The first X, by size and then lexicographically, on which
+    _check_candidate hits, decided by its cut size alone. Here
+    |X| <= 2n/3 <= 9 and epsilon <= 1/48, so p.threshold(|X|) < 1, and
+    _left(...) < threshold holds iff no neighbor is left. _left cuts off
+    the neighbors of least multiplicity first, so it leaves none iff the
+    multiplicities, which sum to cut(X), fit in the budget: X is a hit iff
+    cut(X) <= p.edge_budget(|X|, n). cut(X) is counted on neighbor bitmasks.
+    """
+    n = len(G)
+    verts = G.vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    nbrs = [sum(1 << index[w] for w in G.neighbors(v)) for v in verts]
+    for size in range(1, int(2 * n / 3) + 1):
+        budget = p.edge_budget(size, n)
+        for combo in itertools.combinations(range(n), size):
+            inside = 0
+            for i in combo:
+                inside |= 1 << i
+            outside = ~inside
+            if sum((nbrs[i] & outside).bit_count() for i in combo) <= budget:
+                X = {verts[i] for i in combo}
+                return (frozenset(X), _best_F(G, X, p)[0])
     return None
 
 
@@ -215,14 +242,7 @@ def find_violating_pair(G, p):
     if n < 2:
         return None
     if n <= EXHAUSTIVE_MAX_N:
-        limit = int(2 * n / 3)
-        verts = G.vertices()
-        for size in range(1, limit + 1):
-            for X in itertools.combinations(verts, size):
-                hit = _check_candidate(G, set(X), p)
-                if hit is not None:
-                    return hit
-        return None
+        return _exhaustive_search(G, p)
 
     comps = G.components()
     if len(comps) > 1:

@@ -22,20 +22,37 @@ class Graph:
     def __init__(self, n, edges, live=None):
         if n < 0:
             raise ValueError("negative vertex count")
-        self.n = n
-        self.live = frozenset(range(n)) if live is None else frozenset(live)
-        for v in self.live:
+        live = frozenset(range(n)) if live is None else frozenset(live)
+        for v in live:
             if not (0 <= v < n):
                 raise ValueError("live vertex %r out of range" % (v,))
         canon = set()
         for u, v in edges:
             if u == v:
                 raise ValueError("self-loop at vertex %d" % u)
-            if u not in self.live or v not in self.live:
+            if u not in live or v not in live:
                 raise ValueError("edge (%d,%d) touches a dead or out-of-range vertex" % (u, v))
             canon.add(canonical_edge(u, v))
-        self.edges = frozenset(canon)
-        adj = {v: [] for v in self.live}
+        self._fill(n, canon, live)
+
+    @classmethod
+    def _view(cls, n, edges, live):
+        """
+        A subgraph of a checked graph, built without __init__'s checks: live
+        is a frozenset of in-range vertices and edges a set of canonical
+        edges between them, so none of the checks could fail. When edges
+        was built by adding the edges in the order __init__ would have,
+        G.edges iterates in the same order as __init__'s result.
+        """
+        G = object.__new__(cls)
+        G._fill(n, edges, live)
+        return G
+
+    def _fill(self, n, edges, live):
+        self.n = n
+        self.live = live
+        self.edges = frozenset(edges)
+        adj = {v: [] for v in live}
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
@@ -94,17 +111,17 @@ class Graph:
     def induced(self, X):
         """G[X]: keep only vertices of X and edges inside X."""
         X = frozenset(X) & self.live
-        edges = [e for e in self.edges if e[0] in X and e[1] in X]
-        return Graph(self.n, edges, live=X)
+        edges = {e for e in self.edges if e[0] in X and e[1] in X}
+        return Graph._view(self.n, edges, X)
 
     def without(self, vertices=(), edges=()):
         """Remove vertices (with incident edges) and/or edges; label space preserved."""
         dead = set(vertices)
         banned = {canonical_edge(u, v) for u, v in edges}
         live = self.live - dead
-        kept = [e for e in self.edges
-                if e not in banned and e[0] in live and e[1] in live]
-        return Graph(self.n, kept, live=live)
+        kept = {e for e in self.edges
+                if e not in banned and e[0] in live and e[1] in live}
+        return Graph._view(self.n, kept, live)
 
 
 class Path:

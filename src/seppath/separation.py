@@ -47,23 +47,30 @@ def verify_separation(system):
     distinct target edges has a path containing e but not f. Weak: every
     unordered pair has a path containing exactly one. Witness is the
     lexicographically least violating pair. One walk per path checks it by
-    the rule of Path.valid_in and records its target edges.
+    the rule of Path.valid_in, sets its bit in the signature of each target
+    edge on it and keeps, for each such edge, its path with the fewest
+    target edges.
     """
     host_edges = system.host.edges
     sig = {e: 0 for e in system.target}
     # the target is a subset of the host's edges, so when the sizes agree
     # every edge of a valid path is a target edge
     whole_host = len(sig) == len(host_edges)
-    targets_of_path = []
+    # e -> the target edges of e's path with the fewest of them, the least
+    # index on ties
+    shortest = {}
     for i, p in enumerate(system.paths):
         pe = p.edges()
         if not host_edges.issuperset(pe):
             raise ValueError("path %r not valid in host graph" % (p,))
         bit = 1 << i
         on_path = pe if whole_host else [e for e in pe if e in sig]
+        count = len(on_path)
         for e in on_path:
             sig[e] |= bit  # the signature of e: a bitmap of its paths
-        targets_of_path.append(on_path)
+            kept = shortest.get(e)
+            if kept is None or count < len(kept):
+                shortest[e] = on_path
     edges = sorted(system.target)
     covered = sum(1 for e in edges if sig[e])
     if len(edges) < 2:
@@ -88,16 +95,8 @@ def verify_separation(system):
         if se == 0:
             f = next(x for x in edges if x != e)
             return SeparationReport(False, (e, f), covered)
-        shortest = targets_of_path[(se & -se).bit_length() - 1]
-        rest = se & (se - 1)
-        while rest and len(shortest) > 1:
-            low = rest & -rest
-            on_path = targets_of_path[low.bit_length() - 1]
-            if len(on_path) < len(shortest):
-                shortest = on_path
-            rest ^= low
         best = None
-        for f in shortest:
+        for f in shortest[e]:
             if f != e and (se & ~sig[f]) == 0:
                 if best is None or f < best:
                     best = f
@@ -247,7 +246,8 @@ def baseline_nlogn(G):
     paths = []
     for b in range(bits):
         for want in (1, 0):
-            sub = [e for i, e in enumerate(edges) if (i >> b) & 1 == want]
-            H = Graph(G.n, sub, live=G.live)
+            # edges of G, canonical and between live vertices
+            sub = {e for i, e in enumerate(edges) if (i >> b) & 1 == want}
+            H = Graph._view(G.n, sub, G.live)
             paths.extend(decompose_into_paths(H).paths)
     return PathSystem(G, paths, mode="strong")

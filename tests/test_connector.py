@@ -92,13 +92,14 @@ def test_complete_one_path_core_builds_no_graph(monkeypatch):
     prob = CompletionProblem(G, [Path([0, 1, 2])], forbidden_edges=[(3, 4)],
                              forbidden_vertices=[5])
     builds = []
-    init = Graph.__init__
+    fill = Graph._fill
 
-    def counting_init(self, *args, **kwargs):
+    # every Graph, checked or a subgraph view, is filled in by _fill
+    def counting_fill(self, *args):
         builds.append(args)
-        init(self, *args, **kwargs)
+        fill(self, *args)
 
-    monkeypatch.setattr(Graph, "__init__", counting_init)
+    monkeypatch.setattr(Graph, "_fill", counting_fill)
     p = complete_to_path(prob)
     assert p == Path([0, 1, 2])
     assert not builds

@@ -17,6 +17,7 @@ from seppath.expander import (
     is_expander_violation,
 )
 from seppath.graphs import Graph, generate
+from seppath.strategies import EPSILON, S_DENSE, S_SPARSE
 from test_pinned_outputs import three_block_graph
 
 EPS = 1.0 / 48
@@ -163,7 +164,7 @@ SWEEP_GRAPHS = ([generate("gnp", n, q, seed=s) for n, q in ((30, 0.2), (60, 0.1)
 
 def test_peel_order_matches_quadratic_scan():
     for G in SWEEP_GRAPHS + [generate("grid", 5, 6), generate("star", 9), Graph(5, [])]:
-        assert _peel_order(G) == quadratic_peel_order(G)
+        assert list(_peel_order(G)) == quadratic_peel_order(G)
 
 
 def test_sweep_left_matches_best_F_on_every_prefix():
@@ -178,3 +179,57 @@ def test_sweep_left_matches_best_F_on_every_prefix():
                     cut.add(v)
                     budget = p.edge_budget(len(cut.X), n)
                     assert _left(cut.mult.values(), budget) == _best_F(G, cut.X, p)[1]
+
+
+def find_violating_pair_by_scan(G, p):
+    # reference for the exhaustive branch: _check_candidate on every X, by
+    # size and then lexicographically
+    n = len(G)
+    for size in range(1, int(2 * n / 3) + 1):
+        for X in itertools.combinations(G.vertices(), size):
+            hit = _check_candidate(G, set(X), p)
+            if hit is not None:
+                return hit
+    return None
+
+
+def two_block_graph(n, joins, seed):
+    # cliques on the first half and the rest, plus `joins` random edges
+    # between them
+    rng = random.Random(seed)
+    half = n // 2
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+             if (u < half) == (v < half)}
+    between = [(u, v) for u in range(half) for v in range(half, n)]
+    edges |= set(rng.sample(between, min(joins, len(between))))
+    return Graph(n, edges)
+
+
+def exhaustive_corpus():
+    graphs = []
+    for n in range(2, 15):
+        graphs += [generate("complete", n), generate("star", n), generate("path", n)]
+        if n >= 3:
+            graphs.append(generate("cycle", n))
+        graphs += [generate("gnp", n, q, seed=100 * n + k)
+                   for k, q in enumerate((0.15, 0.3, 0.5, 0.8))]
+        graphs += [two_block_graph(n, joins, seed=n) for joins in (0, 1, 3)]
+    return graphs
+
+
+def test_exhaustive_search_matches_scan():
+    # the cut-count rule against _check_candidate on every X, under the
+    # pipeline's three ExpanderParams: zero budget, the sparse split at
+    # t = d and the dense split at t = 2n/3
+    outcomes = set()
+    for G in exhaustive_corpus():
+        n = len(G)
+        params = [ExpanderParams(EPSILON, s=0.0, t=1.0),
+                  ExpanderParams(EPSILON, s=S_SPARSE, t=1.0),
+                  ExpanderParams(EPSILON, s=S_SPARSE, t=3.0),
+                  ExpanderParams(EPSILON, s=S_DENSE, t=max(1.0, 2 * n / 3))]
+        for p in params:
+            hit = find_violating_pair(G, p)
+            assert hit == find_violating_pair_by_scan(G, p), (G, p)
+            outcomes.add((p.s > 0, hit is not None))
+    assert len(outcomes) == 4

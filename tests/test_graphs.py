@@ -132,6 +132,28 @@ def test_without_examples():
     assert K3.without() == K3
 
 
+def test_views_equal_checked_graphs():
+    # induced and without skip Graph.__init__'s checks; their results must
+    # be the checked Graph of the same n, edges and live set. Decompositions
+    # iterate G.edges, so the iteration order must be the checked one too.
+    rng = random.Random(11)
+    for trial in range(150):
+        n = rng.randint(1, 16)
+        G = generate("gnp", n, rng.choice([0.2, 0.5, 0.9]), seed=trial)
+        if trial % 3 == 0:
+            G = G.without(vertices=rng.sample(range(n), n // 4))
+        dead = rng.sample(range(n), rng.randint(0, n // 2))
+        banned = rng.sample(sorted(G.edges), len(G.edges) // 4)
+        views = [G.without(vertices=dead, edges=[(v, u) for u, v in banned]),
+                 G.induced(set(range(n)) - set(dead))]
+        for view in views:
+            edges = [e for e in G.edges if e in view.edges]
+            ref = Graph(G.n, edges, live=view.live)
+            assert (view.n, view.live, view.edges, view.adj) == \
+                (ref.n, ref.live, ref.edges, ref.adj)
+            assert list(view.edges) == list(ref.edges)
+
+
 def test_generators_small():
     assert generate("complete", 3).edges == {(0, 1), (0, 2), (1, 2)}
     assert generate("path", 4).edges == {(0, 1), (1, 2), (2, 3)}
