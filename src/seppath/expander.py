@@ -3,14 +3,15 @@
 import heapq
 import itertools
 import math
-from collections import Counter
 
 import numpy as np
 
 from .graphs import neighborhood
 
 EXHAUSTIVE_MAX_N = 14
-SEARCH_BUDGET = 2000  # candidate sets one heuristic violation search may try
+# candidate sets one heuristic violation search may try; must stay below 9749
+# for the cut rule of find_violating_pair to be exact on every sweep prefix
+SEARCH_BUDGET = 2000
 SPECTRAL_SEED = 12345
 SPECTRAL_ITERS = 50
 
@@ -82,67 +83,6 @@ def is_expander_violation(G, X, F, p):
     return len(neighborhood(G, X, cut=F)) < p.threshold(len(X))
 
 
-def _best_F(G, X, p):
-    """
-    Cheapest way to shrink |N(X)| by deleting cut edges within the budget:
-    eliminate outside neighbors in increasing order of their X-multiplicity.
-    This is optimal, since only fully disconnected neighbors leave N(X).
-    """
-    n = len(G)
-    budget = p.edge_budget(len(X), n)
-    mult = {}
-    for v in X:
-        for w in G.neighbors(v):
-            if w not in X:
-                mult.setdefault(w, []).append((min(v, w), max(v, w)))
-    order = sorted(mult, key=lambda w: (len(mult[w]), w))
-    F = []
-    removed = 0
-    for w in order:
-        if len(F) + len(mult[w]) > budget:
-            break
-        F.extend(mult[w])
-        removed += 1
-    return frozenset(F), len(mult) - removed
-
-
-class _SweepCut:
-    """
-    A vertex set X grown one vertex at a time, with the X-multiplicity of
-    every outside neighbor kept up to date, so that each prefix is checked
-    without recomputing N(X).
-    """
-
-    __slots__ = ("G", "X", "mult")
-
-    def __init__(self, G):
-        self.G = G
-        self.X = set()
-        self.mult = {}    # w outside X -> number of its neighbors in X
-
-    def add(self, v):
-        X, mult = self.X, self.mult
-        X.add(v)
-        mult.pop(v, None)
-        for w in self.G.neighbors(v):
-            if w not in X:
-                mult[w] = mult.get(w, 0) + 1
-
-
-def _left(multiplicities, budget):
-    """_best_F(G, X, p)[1], given the X-multiplicity of every outside
-    neighbor and the edge budget p.edge_budget(|X|, n): neighbors are cut
-    off in increasing multiplicity while they fit."""
-    removed = 0
-    if budget:
-        for c in sorted(multiplicities):
-            if c > budget:
-                break
-            budget -= c
-            removed += 1
-    return len(multiplicities) - removed
-
-
 def _peel_order(G):
     """Repeatedly take the vertex of least live degree, least label first.
     The vertices are yielded as they are taken, so a sweep that stops early
@@ -162,29 +102,27 @@ def _peel_order(G):
                 heapq.heappush(heap, (live_deg[w], w))
 
 
-def _check_candidate(G, X, p, mult=None):
-    """(X, F) with F from _best_F when X is a violation, else None. mult is
-    the X-multiplicity of every outside neighbor, counted here if not given;
-    F is built only on a hit."""
+def _cut_edges(G, X):
+    """The edges of G with exactly one end in X, as canonical pairs."""
+    return frozenset((v, w) if v < w else (w, v)
+                     for v in X for w in G.neighbors(v) if w not in X)
+
+
+def _check_candidate(G, X, p):
+    """(X, F) with F the cut of X when X is a violation by the cut rule of
+    find_violating_pair, else None."""
     n = len(G)
     if not (1 <= len(X) <= 2 * n / 3):
         return None
-    if mult is None:
-        mult = Counter(w for v in X for w in G.neighbors(v) if w not in X)
-    if _left(mult.values(), p.edge_budget(len(X), n)) < p.threshold(len(X)):
-        return (frozenset(X), _best_F(G, X, p)[0])
-    return None
+    F = _cut_edges(G, X)
+    return (frozenset(X), F) if len(F) <= p.edge_budget(len(X), n) else None
 
 
 def _exhaustive_search(G, p):
     """
     The first X, by size and then lexicographically, on which
-    _check_candidate hits, decided by its cut size alone. Here
-    |X| <= 2n/3 <= 9 and epsilon <= 1/48, so p.threshold(|X|) < 1, and
-    _left(...) < threshold holds iff no neighbor is left. _left cuts off
-    the neighbors of least multiplicity first, so it leaves none iff the
-    multiplicities, which sum to cut(X), fit in the budget: X is a hit iff
-    cut(X) <= p.edge_budget(|X|, n). cut(X) is counted on neighbor bitmasks.
+    _check_candidate hits (here |X| <= 2n/3 <= 9), with cut(X) counted on
+    neighbor bitmasks.
     """
     n = len(G)
     verts = G.vertices()
@@ -199,7 +137,7 @@ def _exhaustive_search(G, p):
             outside = ~inside
             if sum((nbrs[i] & outside).bit_count() for i in combo) <= budget:
                 X = {verts[i] for i in combo}
-                return (frozenset(X), _best_F(G, X, p)[0])
+                return (frozenset(X), _cut_edges(G, X))
     return None
 
 
@@ -237,6 +175,13 @@ def find_violating_pair(G, p):
     low-degree peeling order and of the spectral order, at most SEARCH_BUDGET
     of them in all. There is no local improvement of a failed sweep. No
     return is not a proof of expansion.
+
+    X is a hit, with F its whole cut, iff cut(X) <= p.edge_budget(|X|, n).
+    This is exact when p.threshold(|X|) < 1, as epsilon <= 1/48 gives for
+    |X| < 9749: then X violates iff the budget can leave it no neighbor,
+    that is, iff its whole cut fits. Every X here is smaller: |X| <= 9 when
+    exhaustive, a cut-free union of components, or a sweep prefix of at most
+    SEARCH_BUDGET vertices.
     """
     n = len(G)
     if n < 2:
@@ -252,9 +197,7 @@ def find_violating_pair(G, p):
             if len(X) + len(c) <= 2 * n / 3:
                 X.update(c)
         if X:
-            hit = _check_candidate(G, X, p)
-            if hit is not None:
-                return hit
+            return (frozenset(X), frozenset())
 
     def orders():
         # lazy: the spectral order is computed only if the peeling sweep fails
@@ -263,25 +206,26 @@ def find_violating_pair(G, p):
 
     evals = 0
     for order in orders():
-        cut = _SweepCut(G)
+        X, cut = set(), 0
         for v in order:
-            cut.add(v)
-            if len(cut.X) > 2 * n / 3:
+            # v's edges into X leave the cut, its other edges join it
+            cut += G.degree(v) - 2 * sum(1 for w in G.neighbors(v) if w in X)
+            X.add(v)
+            if len(X) > 2 * n / 3:
                 break
             evals += 1
             if evals > SEARCH_BUDGET:
                 return None
-            hit = _check_candidate(G, cut.X, p, cut.mult)
-            if hit is not None:
-                return hit
+            if cut <= p.edge_budget(len(X), n):
+                return (frozenset(X), _cut_edges(G, X))
     return None
 
 
 def expander_decompose(G, p):
     """
-    Recursive decomposition: split on any violation (X, F) into
-    G1 = G[X u N_{G-F}(X)] and G2 = (G - X) minus the edges inside the
-    neighborhood; whatever falls outside both becomes uncovered.
+    Recursive decomposition: split on any violation (X, F) into G[X] and
+    G - X. F is the whole cut of X (see find_violating_pair), so
+    N_{G-F}(X) is empty, and the cut edges F are the ones left uncovered.
     """
     parts = []
     uncovered = set()
@@ -300,13 +244,11 @@ def expander_decompose(G, p):
         X, F = viol
         if not is_expander_violation(H, X, F, p):
             raise AssertionError("search returned a non-violation")
-        N = neighborhood(H, X, cut=F)
-        G1 = H.induced(X | N)
-        inside_N = {e for e in H.edges if e[0] in N and e[1] in N}
-        G2 = H.without(vertices=X, edges=inside_N)
+        G1 = H.induced(X)
+        G2 = H.without(vertices=X)
         if len(G1) >= len(H) and len(G2) >= len(H):
             raise AssertionError("non-decreasing expander split")
-        uncovered |= set(H.edges) - set(G1.edges) - set(G2.edges)
+        uncovered |= F
         stack.append(G2)
         stack.append(G1)
     parts.sort(key=lambda H: sorted(H.live))

@@ -559,15 +559,20 @@ def reduce_small_deg(G):
     residual_edges = set()
     part_count = len(D0.parts)
     # no high-degree step: d >= 16, len(H) < 16^7 give threshold len(H) > any degree
-    for H in D0.parts:
+    for i, H in enumerate(D0.parts):
         if not H.edges:
             continue
         D1 = expander_decompose(H, p1)
         part_count += len(D1.parts)
         residual_edges |= D1.uncovered
-        for F in D1.parts:
+        for j, F in enumerate(D1.parts):
             if len(F) >= SMALL_PART_THRESHOLD:
-                st2 = separate_sparse_expander(F, d)
+                try:
+                    st2 = separate_sparse_expander(F, d)
+                except AssertionError as exc:
+                    raise AssertionError(
+                        "sparse-expander part %d.%d (%d vertices, %d edges, d=%g): %s"
+                        % (i, j, len(F), F.num_edges(), d, exc)) from exc
                 paths.extend(st2.system.paths)
                 fb += st2.fallback_count
                 separated |= st2.system.target

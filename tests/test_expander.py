@@ -4,19 +4,19 @@ import random
 import pytest
 
 from seppath.expander import (
+    SEARCH_BUDGET,
+    ExpanderDecomposition,
     ExpanderParams,
-    _best_F,
     _check_candidate,
-    _left,
+    _cut_edges,
     _peel_order,
     _spectral_order,
-    _SweepCut,
     certify_expander_exhaustive,
     expander_decompose,
     find_violating_pair,
     is_expander_violation,
 )
-from seppath.graphs import Graph, generate
+from seppath.graphs import Graph, generate, neighborhood
 from seppath.strategies import EPSILON, S_DENSE, S_SPARSE
 from test_pinned_outputs import three_block_graph
 
@@ -115,10 +115,31 @@ def test_decompose_invariants_random_corpus():
                     assert certify_expander_exhaustive(H, p)
 
 
+def ref_best_F(G, X, p):
+    # reference for the cut rule: the general multiplicity rule. Cut off
+    # the outside neighbors of X in increasing X-multiplicity while their
+    # edges fit the budget; this leaves the fewest neighbors, since only a
+    # fully cut-off neighbor leaves N(X). Returns F and the neighbors left.
+    budget = p.edge_budget(len(X), len(G))
+    mult = {}
+    for v in X:
+        for w in G.neighbors(v):
+            if w not in X:
+                mult.setdefault(w, []).append((min(v, w), max(v, w)))
+    F = []
+    removed = 0
+    for w in sorted(mult, key=lambda w: (len(mult[w]), w)):
+        if len(F) + len(mult[w]) > budget:
+            break
+        F.extend(mult[w])
+        removed += 1
+    return frozenset(F), len(mult) - removed
+
+
 def test_check_candidate_matches_best_F_on_every_set():
-    # the count rule on every admissible X, not only on sweep prefixes:
-    # a hit iff _best_F leaves fewer neighbors than the threshold, with
-    # _best_F's F
+    # the cut rule on every admissible X, not only on sweep prefixes:
+    # a hit iff ref_best_F leaves fewer neighbors than the threshold, with
+    # ref_best_F's F
     rng = random.Random(5)
     outcomes = set()
     for trial in range(10):
@@ -128,7 +149,7 @@ def test_check_candidate_matches_best_F_on_every_set():
             p = ExpanderParams(EPS, s=s, t=n)
             for size in range(1, int(2 * n / 3) + 1):
                 for X in itertools.combinations(G.vertices(), size):
-                    F, n_left = _best_F(G, set(X), p)
+                    F, n_left = ref_best_F(G, set(X), p)
                     hit = _check_candidate(G, set(X), p)
                     assert (hit is not None) == (n_left < p.threshold(size))
                     if hit is not None:
@@ -167,18 +188,54 @@ def test_peel_order_matches_quadratic_scan():
         assert list(_peel_order(G)) == quadratic_peel_order(G)
 
 
-def test_sweep_left_matches_best_F_on_every_prefix():
-    # the incremental count against _best_F's from-scratch N(X)
+def test_cut_rule_matches_best_F_on_every_prefix():
+    # every prefix of both sweep orders, not only up to the first hit: the
+    # cut rule gives ref_best_F's hit and F, and the running cut, updated as
+    # find_violating_pair updates it, is the from-scratch cut
+    outcomes = set()
     for G in SWEEP_GRAPHS:
         n = len(G)
         for s in (0, 2, 8):
             p = ExpanderParams(EPS, s=s, t=max(1, n // 3))
             for order in (_peel_order(G), _spectral_order(G)):
-                cut = _SweepCut(G)
+                X, cut = set(), 0
                 for v in order:
-                    cut.add(v)
-                    budget = p.edge_budget(len(cut.X), n)
-                    assert _left(cut.mult.values(), budget) == _best_F(G, cut.X, p)[1]
+                    cut += G.degree(v) - 2 * sum(1 for w in G.neighbors(v) if w in X)
+                    X.add(v)
+                    assert cut == len(_cut_edges(G, X))
+                    if len(X) > 2 * n / 3:
+                        continue
+                    F, n_left = ref_best_F(G, X, p)
+                    hit = _check_candidate(G, X, p)
+                    assert (hit is not None) == (n_left < p.threshold(len(X)))
+                    assert (hit is not None) == (cut <= p.edge_budget(len(X), n))
+                    if hit is not None:
+                        assert hit == (frozenset(X), F)
+                    outcomes.add((s > 0, hit is not None))
+    assert len(outcomes) == 4
+
+
+def test_search_budget_below_threshold_crossover():
+    # the cut rule is exact only while the threshold is below 1; a sweep
+    # prefix has at most SEARCH_BUDGET vertices
+    p = ExpanderParams(EPSILON)
+    assert p.threshold(9748) < 1 <= p.threshold(9749)
+    assert SEARCH_BUDGET < 9749
+    assert all(p.threshold(x) < 1 for x in range(1, SEARCH_BUDGET + 1))
+
+
+@pytest.mark.parametrize("parts, uncovered, message", [
+    ([[(0, 1)]], [], "parts plus uncovered do not partition the edges"),
+    ([[(0, 1), (1, 2)], [(1, 2)]], [], "expander parts overlap on edges"),
+    ([[(0, 1), (1, 2)], [], []], [], "sum of part sizes 9 exceeds 2n = 6"),
+    ([[(0, 1)]], [(1, 2)], "uncovered 1 exceeds bound 0"),
+])
+def test_decomposition_guards(parts, uncovered, message):
+    # every part keeps all three vertices live, so sizes add up by threes
+    source = generate("path", 3)
+    graphs = [Graph(3, edges) for edges in parts]
+    with pytest.raises(AssertionError, match="^%s$" % message):
+        ExpanderDecomposition(graphs, uncovered, ExpanderParams(EPS), source)
 
 
 def find_violating_pair_by_scan(G, p):
@@ -233,3 +290,28 @@ def test_exhaustive_search_matches_scan():
             assert hit == find_violating_pair_by_scan(G, p), (G, p)
             outcomes.add((p.s > 0, hit is not None))
     assert len(outcomes) == 4
+
+
+def pipeline_params(G):
+    # the pipeline's three ExpanderParams for G: zero budget, the sparse
+    # split at t = d and the dense split at t = 2n/3
+    n = len(G)
+    return [ExpanderParams(EPSILON, s=0.0, t=1.0),
+            ExpanderParams(EPSILON, s=S_SPARSE, t=max(1.0, G.avg_degree())),
+            ExpanderParams(EPSILON, s=S_DENSE, t=max(1.0, 2 * n / 3))]
+
+
+def test_every_hit_cuts_off_all_neighbors():
+    # expander_decompose splits on G[X] and G - X and leaves F uncovered:
+    # sound because F is the whole cut of X, so X keeps no neighbor
+    kinds = set()
+    for G in SWEEP_GRAPHS + exhaustive_corpus():
+        for p in pipeline_params(G):
+            hit = find_violating_pair(G, p)
+            if hit is None:
+                continue
+            X, F = hit
+            assert F == _cut_edges(G, X)
+            assert not neighborhood(G, X, cut=F)
+            kinds.add((len(G) > 14, bool(F)))
+    assert len(kinds) == 4

@@ -424,6 +424,22 @@ def test_separate_all_failed_level_names_itself(monkeypatch):
     assert str(exc.value.__cause__) == "audit failed"
 
 
+def test_separate_all_names_the_failed_sparse_part(monkeypatch):
+    # a check failing inside a sparse-expander part names the level, the
+    # zero-budget part and the sparse part within it, and keeps the message
+    def failing(J, d):
+        raise AssertionError("spread matching audit failed")
+
+    monkeypatch.setattr("seppath.strategies.separate_sparse_expander", failing)
+    G = generate("gnp", 40, 0.5, seed=0)
+    with pytest.raises(AssertionError) as exc:
+        separate_all(G, seed=0)
+    assert str(exc.value) == ("level 0 (seed 0, 40 vertices, 384 edges): "
+                              "sparse-expander part 0.0 (40 vertices, 384 "
+                              "edges, d=19.2): spread matching audit failed")
+    assert str(exc.value.__cause__.__cause__) == "spread matching audit failed"
+
+
 def test_separate_all_names_the_level_of_instance_106001():
     # the benchmark's clustered instance 106001 overshoots the decomposition
     # bound at its second level, in the first dense part; once the bound
