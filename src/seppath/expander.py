@@ -4,8 +4,6 @@ import heapq
 import itertools
 import math
 
-import numpy as np
-
 from .graphs import neighborhood
 
 EXHAUSTIVE_MAX_N = 14
@@ -142,6 +140,8 @@ def _exhaustive_search(G, p):
 
 
 def _spectral_order(G):
+    # numpy is imported here, its only use, so the package loads without it
+    import numpy as np
     verts = [v for v in G.vertices() if G.degree(v) > 0]
     if len(verts) < 2:
         return verts

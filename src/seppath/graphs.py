@@ -264,27 +264,18 @@ def serialize_edge_list(G):
     return "\n".join(lines) + "\n"
 
 
-def _pair_from_index(idx, n):
-    # lexicographic rank over pairs (u,v), u<v
-    u = 0
-    remaining = idx
-    row = n - 1
-    while remaining >= row:
-        remaining -= row
-        u += 1
-        row -= 1
-    return (u, u + 1 + remaining)
-
-
 def _gnp_edges(n, p, rng):
-    """Counted geometric-skip enumeration over the lexicographic pair index."""
+    """Counted geometric-skip enumeration over the lexicographic pair index.
+    The index only grows, so the row u of the pair (u, v) and the index of
+    (u, u + 1), the row's start, are carried along."""
     total = n * (n - 1) // 2
     if p <= 0 or total == 0:
         return []
     if p >= 1:
-        return [_pair_from_index(i, n) for i in range(total)]
+        return [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = []
     idx = -1
+    u = start = 0
     log_q = math.log(1.0 - p)
     while True:
         r = rng.random()
@@ -292,7 +283,10 @@ def _gnp_edges(n, p, rng):
         idx += skip + 1
         if idx >= total:
             break
-        edges.append(_pair_from_index(idx, n))
+        while idx - start >= n - 1 - u:
+            start += n - 1 - u
+            u += 1
+        edges.append((u, u + 1 + idx - start))
     return edges
 
 

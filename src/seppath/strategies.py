@@ -1,8 +1,8 @@
 """Separation strategies and their composition into the full pipeline.
 
-Every stage returns a verified StageResult; pairs of edges that land in
-different stages are separated by the per-stage decompositions, so the union
-of all stage outputs separates the union of their targets.
+Every stage returns a StageResult verified inside its own host. The leaf
+stages run on edge-disjoint parts, so a path through an edge meets no other
+part, and the union of the stage systems separates the union of the targets.
 """
 
 import math
@@ -435,8 +435,8 @@ def separate_dense_expander(H, seed):
 
 
 def reduce_large_deg(G, seed):
-    """Expander-decompose with the dense edge budget; separate each part and
-    add its decomposition; the uncovered edges become the residual."""
+    """Expander-decompose with the dense edge budget and separate each
+    edge-disjoint part inside itself; the uncovered edges are the residual."""
     if not G.edges:
         return _empty_stage(G, "reduce-large-deg")
     n = len(G)
@@ -448,13 +448,11 @@ def reduce_large_deg(G, seed):
         part_seed = seed * 1009 + k
         try:
             st = separate_dense_expander(H, part_seed)
-            part_paths = decompose_into_paths(H).paths
         except AssertionError as exc:
             raise AssertionError("dense-expander part %d (seed %d, %d vertices, "
                                  "%d edges): %s" % (k, part_seed, len(H),
                                                     H.num_edges(), exc)) from exc
         paths.extend(st.system.paths)
-        paths.extend(part_paths)
         fb += st.fallback_count
     residual = Graph(G.n, D.uncovered, live=G.live)
     return StageResult(G, paths, G.edges - D.uncovered, residual, fb,
@@ -541,27 +539,24 @@ def separate_sparse_expander(J, d):
 
 def reduce_small_deg(G):
     """
-    Split into expanders with zero deletion budget, and each part again with
-    the sparse budget. Large sub-parts are separated here, small ones are
-    returned for the dense stage, uncovered edges go to the residual.
+    Split into components (the zero-budget expander split), each again with
+    the sparse budget; large sub-parts are separated here, each inside itself,
+    small ones go to the dense stage, uncovered edges to the residual.
     """
     d = G.avg_degree()
     n = max(1, len(G))
     if not G.edges or d < DEGREE_FLOOR:
         return _empty_stage(G, "reduce-small-deg"), []
-    p0 = ExpanderParams(EPSILON, s=0.0, t=1.0)
     p1 = ExpanderParams(EPSILON, s=S_SPARSE, t=max(1.0, d))
-    D0 = expander_decompose(G, p0)
+    comps = [G.induced(c) for c in G.components() if len(c) > 1]
     paths = []
     fb = 0
     small = []
     separated = set()
     residual_edges = set()
-    part_count = len(D0.parts)
+    part_count = len(comps)
     # no high-degree step: d >= 16, len(H) < 16^7 give threshold len(H) > any degree
-    for i, H in enumerate(D0.parts):
-        if not H.edges:
-            continue
+    for i, H in enumerate(comps):
         D1 = expander_decompose(H, p1)
         part_count += len(D1.parts)
         residual_edges |= D1.uncovered
@@ -627,10 +622,10 @@ class RunReport:
 
 def separate_all(G, seed=0, timings=False):
     """
-    Full pipeline: iterate one_step on successive residuals, add the
-    per-level decompositions, finish the leftover edges as singletons, and
-    return the smallest verified system among the pipeline and the two
-    baselines. Output always separates E(G) and never exceeds e(G) paths.
+    Full pipeline: iterate one_step on successive residuals, finish the
+    leftover edges as singletons, and return the smallest verified system
+    among the pipeline (the stage systems, each inside its own part, plus
+    the tail) and two baselines. Output separates E(G) in <= e(G) paths.
     """
     rows = []
     paths = []
@@ -649,14 +644,9 @@ def separate_all(G, seed=0, timings=False):
                                     current.num_edges(), exc)) from exc
         if not st.system.target:
             break
-        added = len(st.system.paths)
         paths.extend(st.system.paths)
-        level_target = Graph(G.n, st.system.target, live=G.live)
-        inter = decompose_into_paths(level_target)
-        paths.extend(inter.paths)
-        added += len(inter.paths)
         elapsed = int((time.perf_counter() - t0) * 1000) if timings else 0
-        rows.append((level, st.stage_tag, st.part_count, added,
+        rows.append((level, st.stage_tag, st.part_count, len(st.system.paths),
                      st.fallback_count, st.residual.num_edges(), elapsed))
         current = st.residual
         level += 1

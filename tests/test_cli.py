@@ -94,6 +94,16 @@ def test_separate_output_independent_of_hash_seed(tmp_path):
         assert outs[0] == outs[1], name
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy serves only the spectral sweep of the expander search, which
+    # imports it on first use, so loading the command line tool skips it
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", "import sys, seppath.cli; "
+                          "print('numpy' in sys.modules)"],
+                         env=env, check=True, capture_output=True, text=True)
+    assert out.stdout == "False\n"
+
+
 def test_separate_timings_changes_only_elapsed(tmp_path):
     g = tmp_path / "g.edges"
     run(["gen", "gnp", "40", "0.5", "--seed", "0", "--out", str(g)])

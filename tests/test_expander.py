@@ -115,6 +115,45 @@ def test_decompose_invariants_random_corpus():
                     assert certify_expander_exhaustive(H, p)
 
 
+def _block_union(rng, trial):
+    """A disjoint union of G(n, p) blocks of 2 to 14 and of 15 to 30
+    vertices plus isolated vertices, under a random relabelling, so the
+    components interleave in label order."""
+    sizes = [rng.randint(2, 14) for _ in range(rng.randint(0, 3))]
+    sizes += [rng.randint(15, 30) for _ in range(rng.randint(0, 2))]
+    sizes += [1] * rng.randint(0, 4)
+    rng.shuffle(sizes)
+    n = sum(sizes)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, base = [], 0
+    for k, size in enumerate(sizes):
+        block = generate("gnp", size, rng.choice([0.15, 0.3, 0.6, 1.0]),
+                         seed=trial * 10 + k)
+        edges += [(label[base + u], label[base + v]) for u, v in block.edges]
+        base += size
+    return Graph(n, edges)
+
+
+def test_zero_budget_split_is_the_components():
+    # reduce_small_deg takes the components with an edge in place of the
+    # zero-budget decomposition: with no edge to spend, a hit X has an
+    # empty cut, so it is a union of components, and a connected graph has
+    # none of at most 2n/3 vertices
+    p = ExpanderParams(EPSILON, s=0.0, t=1.0)
+    rng = random.Random(17)
+    shapes = set()
+    for trial in range(80):
+        G = _block_union(rng, trial)
+        comps = [G.induced(c) for c in G.components() if len(c) > 1]
+        parts = expander_decompose(G, p).parts
+        assert ([(H.n, H.live, H.edges) for H in parts]
+                == [(H.n, H.live, H.edges) for H in comps]), trial
+        shapes.add((len(G) <= 14, any(len(H) > 14 for H in comps),
+                    len(comps) > 1))
+    assert len(shapes) >= 5
+
+
 def ref_best_F(G, X, p):
     # reference for the cut rule: the general multiplicity rule. Cut off
     # the outside neighbors of X in increasing X-multiplicity while their

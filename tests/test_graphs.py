@@ -1,3 +1,4 @@
+import math
 import random
 from collections import deque
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from seppath.graphs import (
     Graph,
     Path,
+    _gnp_edges,
     ball,
     generate,
     graph_from_edge_list,
@@ -174,6 +176,48 @@ def test_gnp_deterministic():
     assert a != c  # overwhelmingly likely for a good generator
     assert generate("gnp", 30, 0.0).num_edges() == 0
     assert generate("gnp", 10, 1.0).num_edges() == 45
+
+
+def _pair_from_index(idx, n):
+    # lexicographic rank over pairs (u,v), u<v
+    u = 0
+    remaining = idx
+    row = n - 1
+    while remaining >= row:
+        remaining -= row
+        u += 1
+        row -= 1
+    return (u, u + 1 + remaining)
+
+
+def ref_gnp_edges(n, p, rng):
+    """The G(n, p) enumeration that ranks each pair index from row 0, kept
+    as a reference for the running row of _gnp_edges."""
+    total = n * (n - 1) // 2
+    if p <= 0 or total == 0:
+        return []
+    if p >= 1:
+        return [_pair_from_index(i, n) for i in range(total)]
+    edges = []
+    idx = -1
+    log_q = math.log(1.0 - p)
+    while True:
+        r = rng.random()
+        skip = int(math.log(1.0 - r) / log_q)
+        idx += skip + 1
+        if idx >= total:
+            break
+        edges.append(_pair_from_index(idx, n))
+    return edges
+
+
+def test_gnp_edges_match_reference():
+    for n in list(range(40)) + [100, 150, 300]:
+        for p in (0, 0.01, 0.1, 0.3, 0.5, 0.9, 0.999, 1):
+            # p = 0 and p = 1 draw nothing from the generator
+            for seed in range(5) if 0 < p < 1 else (0,):
+                assert (_gnp_edges(n, p, random.Random(seed))
+                        == ref_gnp_edges(n, p, random.Random(seed))), (n, p, seed)
 
 
 def test_random_regular():

@@ -461,6 +461,39 @@ def test_separate_all_residual_monotone():
     assert all(b2 < b1 for b1, b2 in zip(sizes, sizes[1:]))
 
 
+@pytest.mark.parametrize("G, seed", [
+    (generate("gnp", 60, 0.5, seed=16), 0),
+    (three_block_graph(1001), 1001),
+])
+def test_pipeline_is_the_union_of_its_leaf_systems(monkeypatch, G, seed):
+    # the pipeline candidate adds nothing to the leaf systems but the
+    # singleton tail: each leaf system lies inside its part, and the parts
+    # of all levels are edge-disjoint
+    leaves = []
+
+    def recording(stage):
+        def run(part, arg):
+            st = stage(part, arg)
+            leaves.append((part, st))
+            return st
+        return run
+
+    for stage in (separate_sparse_expander, separate_dense_expander):
+        monkeypatch.setattr("seppath.strategies." + stage.__name__,
+                            recording(stage))
+    _, report = separate_all(G, seed=seed)
+    assert leaves
+    seen = set()
+    for part, st in leaves:
+        for p in st.system.paths:
+            assert part.edges.issuperset(p.edges())
+        assert seen.isdisjoint(part.edges)
+        seen |= part.edges
+    rows = {r[1]: r[3] for r in report.rows}
+    assert rows["candidate:pipeline"] == (
+        sum(len(st.system) for _, st in leaves) + rows["singleton-tail"])
+
+
 def test_separate_all_audits_ran():
     reset_audit_counters()
     G = generate("gnp", 60, 0.5, seed=16)

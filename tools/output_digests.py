@@ -18,10 +18,13 @@ with d in 1 to 5, and `separate_high_degree` on hub graphs (the
 four-hub graph of tests/test_pinned_outputs.py and variants in hub count,
 hub edges and d). Two searches are also called directly:
 `expander_decompose` on the same 120 graphs under the pipeline's three
-ExpanderParams (zero budget, the sparse split at t = d, the dense split at
+ExpanderParams (zero budget, whose split the pipeline takes as the
+connected components, the sparse split at t = d, the dense split at
 t = 2n/3), and `complete_to_path` on the seeded multi-path cores of
-tests/test_pinned_outputs.py. Each in-process case hashes the system text
-and the report CSV; each direct stage case hashes the stage's system text,
+tests/test_pinned_outputs.py. Each in-process case prints two lines:
+`<case>/system` hashes the selected system's text and `<case>/report` the
+report CSV, so a change that touches only the pipeline candidate shows as
+report lines only. Each direct stage case hashes the stage's system text,
 fallback count, residual edges and part count; each decomposition case
 hashes the parts' live sets and edges and the uncovered edges; each
 completion case hashes the path's vertices, or None; each command-line case
@@ -29,7 +32,7 @@ hashes both written files and both exit codes. The corpora, the acceptance
 instances and the completion problems come from this repository's
 perfbench/corpus.py, tests/test_acceptance.py and
 tests/test_pinned_outputs.py, built with the graph generators of the tree
-under test. Takes about 100 s on a 2-vCPU VM.
+under test. Prints 1807 lines; takes about 40 s on a 2-vCPU VM.
 """
 
 import argparse
@@ -63,14 +66,19 @@ def load(name, path):
     return module
 
 
-def in_process(G, seed):
+def in_process(case, G, seed):
+    """The /system and /report lines of one separate_all run; a failed run
+    gives both lines the digest of its error."""
     from seppath.cli import system_to_text
     from seppath.strategies import separate_all
     try:
         system, report = separate_all(G, seed=seed)
     except AssertionError as exc:
-        return sha("error", exc)
-    return sha(system_to_text(system), report.to_csv())
+        texts = (sha("error", exc),) * 2
+    else:
+        texts = (sha(system_to_text(system)), sha(report.to_csv()))
+    yield case + "/system", texts[0]
+    yield case + "/report", texts[1]
 
 
 def stage_digest(stage, *args):
@@ -166,14 +174,14 @@ def cases(workdir):
     for workload in ("dense-gnp", "clustered", "sparse-cli"):
         for inst in corpus.build(workload, CORPUS_SEED, workdir):
             case = "%s/%d/%s" % (workload, inst.index, inst.label)
-            yield case, in_process(inst.graph, inst.seed)
+            yield from in_process(case, inst.graph, inst.seed)
             if workload == "sparse-cli":
                 yield "cli:" + case, through_cli(inst)
     acceptance = load("acceptance", os.path.join(ROOT, "tests", "test_acceptance.py"))
     for fam, param, n, seed in acceptance.corpus_specs():
         G = acceptance.make_instance(fam, param, n, seed)
-        yield ("acceptance/%s/%s/%d/%d" % (fam, param, n, seed),
-               in_process(G, seed))
+        yield from in_process("acceptance/%s/%s/%d/%d" % (fam, param, n, seed),
+                              G, seed)
     yield from stage_cases()
     # test_pinned_outputs imports its sibling test modules
     sys.path.append(os.path.join(ROOT, "tests"))
