@@ -145,7 +145,11 @@ def cmd_verify(args):
         print("ok: %d paths separate %d edges (%s)"
               % (len(system), G.num_edges(), args.mode))
         return EXIT_OK
-    print("FAIL: witness %s %s" % report.witness)
+    e, f = report.witness
+    if f is None:
+        print("FAIL: edge %s lies on no path" % (e,))
+    else:
+        print("FAIL: witness %s %s" % (e, f))
     return EXIT_VERIFY
 
 

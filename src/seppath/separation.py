@@ -43,13 +43,14 @@ class SeparationReport:
 
 def verify_separation(system):
     """
-    Check the separation property. Strong: every ordered pair (e, f) of
-    distinct target edges has a path containing e but not f. Weak: every
-    unordered pair has a path containing exactly one. Witness is the
-    lexicographically least violating pair. One walk per path checks it by
-    the rule of Path.valid_in, sets its bit in the signature of each target
-    edge on it and keeps, for each such edge, its path with the fewest
-    target edges.
+    Check the separation property. Strong: every target edge lies on a path,
+    and every ordered pair (e, f) of distinct target edges has a path
+    containing e but not f. Weak: every unordered pair has a path containing
+    exactly one. Witness is the lexicographically least violating pair; a
+    lone target edge on no path has witness (e, None). One walk per path
+    checks it by the rule of Path.valid_in, sets its bit in the signature of
+    each target edge on it and keeps, for each such edge, its path with the
+    fewest target edges.
     """
     host_edges = system.host.edges
     sig = {e: 0 for e in system.target}
@@ -73,8 +74,6 @@ def verify_separation(system):
                 shortest[e] = on_path
     edges = sorted(system.target)
     covered = sum(1 for e in edges if sig[e])
-    if len(edges) < 2:
-        return SeparationReport(True, None, covered)
     if system.mode == "weak":
         by_sig = {}
         witness = None
@@ -93,7 +92,7 @@ def verify_separation(system):
     for e in edges:
         se = sig[e]
         if se == 0:
-            f = next(x for x in edges if x != e)
+            f = next((x for x in edges if x != e), None)
             return SeparationReport(False, (e, f), covered)
         best = None
         for f in shortest[e]:

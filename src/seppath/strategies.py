@@ -1,8 +1,10 @@
 """Separation strategies and their composition into the full pipeline.
 
-Every stage returns a StageResult verified inside its own host. The leaf
-stages run on edge-disjoint parts, so a path through an edge meets no other
-part, and the union of the stage systems separates the union of the targets.
+Each separator verifies its StageResult inside its own host. The separators
+run on edge-disjoint parts, so a path through an edge meets no other part,
+and the union of their systems separates the union of their targets: the
+compositions only check that their parts partition the edges, and
+separate_all verifies the system it returns.
 """
 
 import math
@@ -67,23 +69,19 @@ def degree_threshold(d, n):
 
 
 class StageResult:
-    """A verified partial separation: the system of paths for target in host,
-    the rest residual."""
+    """A partial separation: the system of paths for target in host, the
+    rest residual. Target and residual must partition the edges of source,
+    when given; _verified checks that a separator's system separates."""
 
     __slots__ = ("system", "residual", "fallback_count", "stage_tag", "part_count")
 
     def __init__(self, host, paths, target, residual, fallback_count,
                  stage_tag, source=None, part_count=0):
-        system = PathSystem(host, paths, target=target)
-        self.system = system
+        self.system = system = PathSystem(host, paths, target=target)
         self.residual = residual
         self.fallback_count = fallback_count
         self.stage_tag = stage_tag
         self.part_count = part_count
-        report = verify_separation(system)
-        if not report.ok:
-            raise AssertionError("stage %s failed verification, witness %r"
-                                 % (stage_tag, report.witness))
         if source is not None:
             if system.target & residual.edges:
                 raise AssertionError("stage %s target overlaps residual" % stage_tag)
@@ -95,8 +93,13 @@ def _empty_stage(G, tag):
     return StageResult(G, [], (), G, 0, tag, source=G)
 
 
-def _min_endpoint_degrees(host, edges):
-    return {e: min(host.degree(e[0]), host.degree(e[1])) for e in edges}
+def _verified(st):
+    """A separator's result, once its system separates its target."""
+    witness = verify_separation(st.system).witness
+    if witness is not None:
+        raise AssertionError("stage %s failed verification, witness %r"
+                             % (st.stage_tag, witness))
+    return st
 
 
 def _bucket(dbar):
@@ -399,7 +402,7 @@ def _separate_within(host, removed, V1, V2, seed):
     if not target:
         return [], 0
     decomp = decompose_into_paths(Gp)
-    dbar = _min_endpoint_degrees(host, target)
+    dbar = {e: min(host.degree(e[0]), host.degree(e[1])) for e in target}
     cap = CAP_BASIC_FACTOR * max(1, len(host))
     matchings, _ = build_matchings_degree(Gp, decomp, dbar, cap)
     if not audit_matchings_degree(host, decomp.paths, matchings):
@@ -415,12 +418,11 @@ def separate_dense_expander(H, seed):
     """Random tripartition; for each class, separate the graph away from it.
     Every edge avoids some class, so the union covers E(H)."""
     if not H.edges:
-        return _empty_stage(H, "dense-expander")
+        return _verified(_empty_stage(H, "dense-expander"))
     # the "0" is part of the seed string: dropping it changes every tripartition
     rng = random.Random("tripart:0:%d" % seed)
     cls = {v: rng.randrange(3) for v in H.vertices()}
-    paths = []
-    fb = 0
+    paths, fb = [], 0
     for i in range(3):
         Vi = {v for v, c in cls.items() if c == i}
         V1, V2 = set(), set()
@@ -431,7 +433,8 @@ def separate_dense_expander(H, seed):
         paths.extend(run_paths)
         fb += run_fb
     empty = Graph(H.n, [], live=H.live)
-    return StageResult(H, paths, H.edges, empty, fb, "dense-expander", source=H)
+    return _verified(StageResult(H, paths, H.edges, empty, fb,
+                                 "dense-expander", source=H))
 
 
 def reduce_large_deg(G, seed):
@@ -442,8 +445,7 @@ def reduce_large_deg(G, seed):
     n = len(G)
     params = ExpanderParams(EPSILON, s=S_DENSE, t=max(1.0, 2 * n / 3))
     D = expander_decompose(G, params)
-    paths = []
-    fb = 0
+    paths, fb = [], 0
     for k, H in enumerate(D.parts):
         part_seed = seed * 1009 + k
         try:
@@ -493,7 +495,7 @@ def separate_high_degree(G, d):
     threshold = degree_threshold(d, n)
     L1 = {v for v in G.vertices() if G.degree(v) >= threshold}
     if not L1:
-        return _empty_stage(G, "high-degree")
+        return _verified(_empty_stage(G, "high-degree"))
     L2 = {v for v in G.vertices()
           if v not in L1 and sum(1 for w in G.neighbors(v) if w in L1) >= 4}
     h1_edges = {e for e in G.edges
@@ -514,15 +516,16 @@ def separate_high_degree(G, d):
         built, fb = _close_or_singletons(closed, h1_edges)
         paths = list(P1.paths) + built
     paths.extend(Path(e) for e in sorted(h2_edges))
-    return StageResult(G, paths, h1_edges | h2_edges, G.without(vertices=L1),
-                       fb, "high-degree", source=G)
+    return _verified(StageResult(G, paths, h1_edges | h2_edges,
+                                 G.without(vertices=L1), fb, "high-degree",
+                                 source=G))
 
 
 def separate_sparse_expander(J, d):
     """Bounded decomposition plus one completed path per spread matching;
     matchings whose completion fails fall back to singletons."""
     if not J.edges:
-        return _empty_stage(J, "sparse-expander")
+        return _verified(_empty_stage(J, "sparse-expander"))
     d_int = max(1, int(d))
     P = decompose_into_bounded_paths(J, d_int)
     r0 = max(2, math.ceil(math.log2(math.log2(d + 2))))
@@ -533,8 +536,8 @@ def separate_sparse_expander(J, d):
     closed = [(M, _complete_members(J, M, P)) for M in matchings]
     paths, fb = _close_or_singletons(closed, J.edges)
     empty = Graph(J.n, [], live=J.live)
-    return StageResult(J, list(P.paths) + paths, J.edges, empty, fb,
-                       "sparse-expander", source=J)
+    return _verified(StageResult(J, list(P.paths) + paths, J.edges, empty,
+                                 fb, "sparse-expander", source=J))
 
 
 def reduce_small_deg(G):
@@ -549,11 +552,8 @@ def reduce_small_deg(G):
         return _empty_stage(G, "reduce-small-deg"), []
     p1 = ExpanderParams(EPSILON, s=S_SPARSE, t=max(1.0, d))
     comps = [G.induced(c) for c in G.components() if len(c) > 1]
-    paths = []
-    fb = 0
-    small = []
-    separated = set()
-    residual_edges = set()
+    paths, fb, small = [], 0, []
+    separated, residual_edges = set(), set()
     part_count = len(comps)
     # no high-degree step: d >= 16, len(H) < 16^7 give threshold len(H) > any degree
     for i, H in enumerate(comps):
@@ -627,8 +627,7 @@ def separate_all(G, seed=0, timings=False):
     among the pipeline (the stage systems, each inside its own part, plus
     the tail) and two baselines. Output separates E(G) in <= e(G) paths.
     """
-    rows = []
-    paths = []
+    rows, paths, targets = [], [], []
     level = 0
     current = G
     max_levels = iterated_log(max(1, len(G))) + EXTRA_LEVELS
@@ -645,6 +644,7 @@ def separate_all(G, seed=0, timings=False):
         if not st.system.target:
             break
         paths.extend(st.system.paths)
+        targets.append(st.system.target)
         elapsed = int((time.perf_counter() - t0) * 1000) if timings else 0
         rows.append((level, st.stage_tag, st.part_count, len(st.system.paths),
                      st.fallback_count, st.residual.num_edges(), elapsed))
@@ -654,10 +654,12 @@ def separate_all(G, seed=0, timings=False):
     paths.extend(Path(e) for e in tail)
     rows.append((level, "singleton-tail", 0, len(tail), len(tail), 0, 0))
     pipeline = PathSystem(G, paths, target=G.edges)
-    report = verify_separation(pipeline)
-    if not report.ok:
-        raise AssertionError("pipeline output failed verification, witness %r"
-                             % (report.witness,))
+    witness = verify_separation(pipeline).witness
+    if witness is not None:
+        at = next(("level %d" % k for k, t in enumerate(targets)
+                   if witness[0] in t), "singleton-tail")
+        raise AssertionError("pipeline output failed verification at %s, "
+                             "witness %r" % (at, witness))
     candidates = [("pipeline", pipeline),
                   ("bitcode-baseline", baseline_nlogn(G)),
                   ("singleton-baseline", singleton_baseline(G))]
@@ -665,9 +667,7 @@ def separate_all(G, seed=0, timings=False):
         rows.append((level, "candidate:" + name, 0, len(system), 0, 0, 0))
     selected_name, selected = min(candidates, key=lambda ns: (len(ns[1]),
                                                               ns[0] != "pipeline"))
-    if selected is not pipeline:
-        check = verify_separation(selected)
-        if not check.ok:
-            raise AssertionError("selected baseline failed verification")
+    if selected is not pipeline and not verify_separation(selected).ok:
+        raise AssertionError("selected baseline failed verification")
     rows.append((level, "selected:" + selected_name, 0, len(selected), 0, 0, 0))
     return selected, RunReport(rows, selected_name)

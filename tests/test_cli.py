@@ -188,6 +188,15 @@ def test_verify_failure_prints_witness(tmp_path, capsys):
     assert "witness" in capsys.readouterr().out
 
 
+def test_verify_lone_uncovered_edge_fails(tmp_path, capsys):
+    g = tmp_path / "g.edges"
+    s = tmp_path / "s"
+    g.write_text("# n=2\n0 1\n")
+    s.write_text("# seppath-system v1\n")
+    assert run(["verify", "--graph", str(g), "--system", str(s)]) == 1
+    assert capsys.readouterr().out == "FAIL: edge (0, 1) lies on no path\n"
+
+
 def test_verify_rejects_near_miss_headers(tmp_path):
     g = tmp_path / "g.edges"
     s = tmp_path / "s"

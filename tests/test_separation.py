@@ -39,6 +39,11 @@ def naive_check(system):
                 pair = (e, f) if system.mode == "strong" else tuple(sorted((e, f)))
                 if witness is None or pair < witness:
                     witness = pair
+    if witness is None and system.mode == "strong":
+        # an edge on no path fails even when no other edge makes a pair
+        for e in edges:
+            if not any(e in es for es in path_edge_lists):
+                return (e, None)
     return witness
 
 
@@ -69,6 +74,21 @@ def test_verifier_examples():
     P3 = generate("path", 3)
     bad = verify_separation(PathSystem(P3, [Path([0, 1, 2])]))
     assert not bad.ok and bad.witness == ((0, 1), (1, 2))
+
+
+def test_lone_uncovered_edge_fails_strong_verification():
+    # a strong system must put every target edge on a path, even when the
+    # target has no second edge to pair it with
+    G = Graph(2, [(0, 1)])
+    rep = verify_separation(PathSystem(G, []))
+    assert not rep.ok and rep.witness == ((0, 1), None) and rep.covered == 0
+    assert verify_separation(PathSystem(G, [Path([0, 1])])).ok
+    assert verify_separation(PathSystem(G, [], mode="weak")).ok
+    assert verify_separation(PathSystem(G, [], target=[])).ok
+    P3 = generate("path", 3)
+    rep = verify_separation(PathSystem(P3, [Path([1, 2])], target=[(0, 1)]))
+    assert rep.witness == ((0, 1), None)
+    assert ref_verify_separation(PathSystem(G, [])) == (False, ((0, 1), None), 0)
 
 
 def test_verifier_rejects_invalid_path():
@@ -223,7 +243,8 @@ def ref_verify_separation(system):
     """The two-walk verifier that the one-walk verify_separation replaced,
     kept as a reference: signatures under the vertex-and-edge validity rule,
     then a second walk for each path's target edges, and a strong check
-    that scans each edge's first path rather than its shortest."""
+    that scans each edge's first path rather than its shortest. Like the
+    verifier, it fails a lone target edge that lies on no path."""
     host = system.host
     sig = {e: 0 for e in system.target}
     for i, p in enumerate(system.paths):
@@ -236,8 +257,6 @@ def ref_verify_separation(system):
                 sig[e] |= 1 << i
     edges = sorted(system.target)
     covered = sum(1 for e in edges if sig[e])
-    if len(edges) < 2:
-        return True, None, covered
     if system.mode == "weak":
         by_sig = {}
         witness = None
@@ -253,7 +272,7 @@ def ref_verify_separation(system):
     for e in edges:
         se = sig[e]
         if se == 0:
-            return False, (e, next(x for x in edges if x != e)), covered
+            return False, (e, next((x for x in edges if x != e), None)), covered
         first_path = (se & -se).bit_length() - 1
         best = None
         for f in edge_list_of_path[first_path]:

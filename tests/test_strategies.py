@@ -9,10 +9,12 @@ from seppath.graphs import Graph, Path, ball, generate
 from seppath.separation import verify_separation
 from seppath.strategies import (
     DEGREE_FLOOR,
+    StageResult,
     _bucket,
     _bucket_quota,
     _close_or_singletons,
     _first_fit,
+    _separate_within,
     _union_members,
     audit_counters,
     audit_groups,
@@ -492,6 +494,96 @@ def test_pipeline_is_the_union_of_its_leaf_systems(monkeypatch, G, seed):
     rows = {r[1]: r[3] for r in report.rows}
     assert rows["candidate:pipeline"] == (
         sum(len(st.system) for _, st in leaves) + rows["singleton-tail"])
+
+
+def test_separate_all_verifies_each_separator_result_once(monkeypatch):
+    # the separators verify their results; the compositions only check
+    # partitions, and separate_all verifies the pipeline and the selected
+    # baseline
+    calls = Counter()
+
+    def counting(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr("seppath.strategies." + name, run)
+
+    for fn in (verify_separation, separate_sparse_expander,
+               separate_dense_expander, separate_high_degree):
+        counting(fn.__name__, fn)
+    _, report = separate_all(three_block_graph(1001), seed=1001)
+    separator_calls = sum(k for name, k in calls.items()
+                          if name.startswith("separate_"))
+    assert calls["separate_dense_expander"] > 0
+    assert report.selected != "pipeline"
+    assert calls["verify_separation"] == separator_calls + 2
+
+
+def test_separator_verification_failure_names_level_and_part(monkeypatch):
+    # a dense-expander result that misses an edge fails its own
+    # verification, and the message names the level and the part
+    def dropping(host, removed, V1, V2, seed):
+        paths, fb = _separate_within(host, removed, V1, V2, seed)
+        e = min(host.edges)
+        return [p for p in paths if e not in p.edges()], fb
+
+    monkeypatch.setattr("seppath.strategies._separate_within", dropping)
+    with pytest.raises(AssertionError, match=r"^level 0 \(seed 131131, 90 "
+                       r"vertices, \d+ edges\): dense-expander part 0 \(seed "
+                       r"\d+, \d+ vertices, \d+ edges\): stage dense-expander "
+                       r"failed verification, witness \(\(\d+, \d+\), "):
+        separate_all(three_block_graph(1001), seed=1001)
+
+
+def test_separator_partition_check_still_raises(monkeypatch):
+    # a leaf whose residual keeps its target edges fails the partition check
+    H = generate("gnp", 20, 0.5, seed=3)
+    monkeypatch.setattr("seppath.strategies.Graph",
+                        lambda n, edges, live=None: H)
+    with pytest.raises(AssertionError,
+                       match="^stage dense-expander target overlaps residual$"):
+        separate_dense_expander(H, seed=1)
+
+
+def drop_first_sparse_edge(monkeypatch):
+    # separate_sparse_expander, unverified once it returns: its first result
+    # loses every path through its least edge
+    dropped = []
+
+    def dropping(J, d):
+        st = separate_sparse_expander(J, d)
+        if dropped:
+            return st
+        e = min(J.edges)
+        dropped.append(e)
+        paths = [p for p in st.system.paths if e not in p.edges()]
+        return StageResult(J, paths, st.system.target, st.residual,
+                           st.fallback_count, st.stage_tag, source=J)
+
+    monkeypatch.setattr("seppath.strategies.separate_sparse_expander", dropping)
+    return generate("gnp", 40, 0.5, seed=0), "level 0", dropped
+
+
+def drop_first_tail_singleton(monkeypatch):
+    # the singleton path of the tail's least edge becomes that of the next
+    def shifted(vs):
+        return Path((1, 2) if tuple(vs) == (0, 1) else vs)
+
+    monkeypatch.setattr("seppath.strategies.Path", shifted)
+    return generate("cycle", 8), "singleton-tail", [(0, 1)]
+
+
+@pytest.mark.parametrize("fault", [drop_first_sparse_edge,
+                                   drop_first_tail_singleton])
+def test_pipeline_verification_failure_names_the_level(monkeypatch, fault):
+    # a fault that only the composition shows surfaces in separate_all's
+    # final verification, which names where the witness's first edge lies
+    G, where, dropped = fault(monkeypatch)
+    with pytest.raises(AssertionError) as exc:
+        separate_all(G, seed=0)
+    assert str(exc.value).startswith(
+        "pipeline output failed verification at %s, witness (%r, "
+        % (where, dropped[0]))
 
 
 def test_separate_all_audits_ran():
