@@ -1,14 +1,8 @@
 """Decompose a graph's edge set into few simple paths, optionally length-bounded."""
 
-from collections import defaultdict
+import heapq
 
 from .graphs import Path, canonical_edge
-
-VIRTUAL = -1
-
-# Above this average degree a component first sheds long greedy paths before
-# the Euler-trail route runs; keeps the piece count under n on dense inputs.
-DENSE_THRESHOLD = 6
 
 
 class PathDecomposition:
@@ -47,13 +41,12 @@ class PathDecomposition:
         return self.index[canonical_edge(*e)]
 
 
-def _extract_long_path(adj):
+def _extract_long_path(adj, start):
     """
-    Greedily grow a path in the remaining-edge adjacency, extending the tail
-    by the highest-degree unused neighbor and applying rotations when stuck.
-    Consumes the returned path's edges from adj.
+    Greedily grow a path from start in the remaining-edge adjacency, extending
+    the tail by the highest-degree unused neighbor and applying rotations when
+    stuck. Consumes the returned path's edges from adj.
     """
-    start = max(adj, key=lambda v: (len(adj[v]), -v))
     path = [start]
     in_path = {start}
 
@@ -112,191 +105,31 @@ def _extract_long_path(adj):
     return path
 
 
-def _euler_circuit(adj, start):
-    """Hierholzer on a mutable adjacency dict of sets; consumes edges."""
-    stack = [start]
-    circuit = []
-    while stack:
-        v = stack[-1]
-        if adj[v]:
-            w = min(adj[v])
-            adj[v].discard(w)
-            adj[w].discard(v)
-            stack.append(w)
-        else:
-            circuit.append(stack.pop())
-    circuit.reverse()
-    return circuit
-
-
-def _split_trail(trail):
-    """Split an open trail into simple paths and simple cycles (stack scan)."""
-    paths, cycles = [], []
-    stack = []
-    pos = {}
-    for v in trail:
-        if v in pos:
-            i = pos[v]
-            cycles.append(stack[i:] + [v])
-            for u in stack[i + 1:]:
-                del pos[u]
-            del stack[i + 1:]
-        else:
-            pos[v] = len(stack)
-            stack.append(v)
-    if len(stack) >= 2:
-        paths.append(stack)
-    return paths, cycles
-
-
-def _absorb_cycles(paths, cycles):
-    """
-    Fold each cycle into a path that meets it in exactly one vertex: the path
-    splits there and each half takes one arc, keeping the piece count equal.
-    Cycles with no such host are opened into a path plus the closing edge.
-    """
-    out = [list(p) for p in paths]
-    pending = [list(c) for c in cycles]
-    progress = True
-    while pending and progress:
-        progress = False
-        rest = []
-        for cyc in pending:
-            body = cyc[:-1]
-            bset = set(body)
-            placed = False
-            for pi, p in enumerate(out):
-                shared = [v for v in p if v in bset]
-                if len(shared) != 1:
-                    continue
-                x = shared[0]
-                j = body.index(x)
-                arc = body[j + 1:] + body[:j]  # cycle minus x, in walk order
-                k = p.index(x)
-                left = p[: k + 1] + arc  # a..x then around the cycle
-                right = [arc[-1], x] + p[k + 1:]  # closing edge, then x..b
-                out[pi] = left
-                out.append(right)
-                placed = True
-                progress = True
-                break
-            if not placed:
-                rest.append(cyc)
-        pending = rest
-    for cyc in pending:
-        body = cyc[:-1]
-        out.append(body)
-        out.append([body[-1], cyc[-1]])
-    return out
-
-
-def _merge_pass(paths):
-    """Greedily join paths whose endpoints coincide while the union stays simple."""
-    paths = [list(p) for p in paths]
-    changed = True
-    while changed:
-        changed = False
-        by_end = defaultdict(list)
-        for i, p in enumerate(paths):
-            if p is None:
-                continue
-            by_end[p[0]].append(i)
-            by_end[p[-1]].append(i)
-        for i in range(len(paths)):
-            p = paths[i]
-            if p is None:
-                continue
-            for end in (p[0], p[-1]):
-                merged_here = False
-                for j in by_end[end]:
-                    q = paths[j]
-                    if j == i or q is None:
-                        continue
-                    a = p if p[-1] == end else p[::-1]
-                    b = q if q[0] == end else q[::-1]
-                    if b[0] != end:
-                        continue
-                    merged = a + b[1:]
-                    if len(set(merged)) == len(merged):
-                        paths[i] = merged
-                        paths[j] = None
-                        p = merged
-                        changed = True
-                        merged_here = True
-                        break
-                if merged_here:
-                    break
-    return [p for p in paths if p is not None]
-
-
-def _decompose_component(comp_edges):
-    adj = defaultdict(set)
-    for u, v in comp_edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    long_paths = []
-    # the average degree over the vertices that still have edges, as counts
-    edges_left, touched = len(comp_edges), len(adj)
-    while touched and 2 * edges_left / touched > DENSE_THRESHOLD:
-        p = _extract_long_path(adj)
-        long_paths.append(p)
-        edges_left -= len(p) - 1
-        touched -= sum(1 for v in p if not adj[v])
-    # Euler route on the sparse remainder, component by component; each
-    # circuit consumes every edge of its component
-    paths, cycles = [], []
-    for seed in sorted(v for v in adj if adj[v]):
-        if not adj[seed]:
-            continue
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        odd = sorted(v for v in comp if len(adj[v]) % 2 == 1)
-        for v in odd:
-            adj[VIRTUAL].add(v)
-            adj[v].add(VIRTUAL)
-        circuit = _euler_circuit(adj, VIRTUAL if odd else seed)
-        cur = []
-        trails = []
-        for v in circuit:
-            if v == VIRTUAL:
-                if len(cur) >= 2:
-                    trails.append(cur)
-                cur = []
-            else:
-                cur.append(v)
-        if len(cur) >= 2:
-            trails.append(cur)
-        for t in trails:
-            ps, cs = _split_trail(t)
-            paths.extend(ps)
-            cycles.extend(cs)
-        adj.pop(VIRTUAL, None)
-    pieces = _absorb_cycles(paths, cycles)
-    return _merge_pass(long_paths + pieces)
-
-
 def decompose_into_paths(G):
     """
-    Decompose E(G) into at most n simple paths. Dense components first shed
-    long greedily grown paths; the remainder goes through per-component Euler
-    trails split into simple pieces, cycle absorption, and an end-to-end merge
-    pass. Exceeding the n bound is a hard defect, not a recoverable error.
+    Decompose E(G) into at most n simple paths: repeatedly grow a long path
+    greedily from the vertex with the most remaining edges, least label on
+    ties, until no edge is left. The n bound is checked, not proved; exceeding
+    it is a hard defect, not a recoverable error.
     """
-    comps = G.components()
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    buckets = [[] for _ in comps]
-    for e in G.edges:
-        buckets[comp_of[e[0]]].append(e)
+    adj = {}
+    for u, v in G.edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    # most remaining edges first, least label on ties; an entry whose degree
+    # has dropped since it was pushed is stale and skipped
+    heap = [(-len(nb), v) for v, nb in adj.items()]
+    heapq.heapify(heap)
     all_paths = []
-    for bucket in buckets:
-        if bucket:
-            all_paths.extend(_decompose_component(bucket))
+    while heap:
+        d, v = heapq.heappop(heap)
+        if -d != len(adj[v]):
+            continue
+        path = _extract_long_path(adj, v)
+        all_paths.append(path)
+        for w in path:
+            if adj[w]:
+                heapq.heappush(heap, (-len(adj[w]), w))
     if len(all_paths) > len(G):
         raise AssertionError(
             "path decomposition produced %d > n = %d paths" % (len(all_paths), len(G))

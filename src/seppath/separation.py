@@ -96,7 +96,7 @@ def verify_separation(system):
             return SeparationReport(False, (e, f), covered)
         best = None
         for f in shortest[e]:
-            if f != e and (se & ~sig[f]) == 0:
+            if f != e and sig[f] & se == se:
                 if best is None or f < best:
                     best = f
         if best is not None:

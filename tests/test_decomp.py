@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from seppath.decomp import (
     PathDecomposition,
-    _decompose_component,
+    _extract_long_path,
     decompose_into_bounded_paths,
     decompose_into_paths,
 )
@@ -115,6 +115,28 @@ def test_bounded_bound_corpus():
         assert all(len(p) <= d for p in D.paths)
 
 
+def near_clique_graphs():
+    """K_n less 0 to 2n random edges for 8 <= n <= 40, K_n for n <= 40 and
+    K_{a,b} for a, b <= 11: dense inputs, where the n bound is tightest."""
+    rng = random.Random(1968)
+    for n in range(8, 41):
+        K = sorted(generate("complete", n).edges)
+        for _ in range(4):
+            yield Graph(n, rng.sample(K, len(K) - rng.randint(0, 2 * n)))
+    for n in range(1, 41):
+        yield generate("complete", n)
+    for a in range(1, 12):
+        for b in range(1, 12):
+            yield Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def test_near_clique_bound_corpus():
+    for G in near_clique_graphs():
+        D = decompose_into_paths(G)
+        check_exact_cover(D, G)
+        assert len(D) <= len(G)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 25), st.floats(0.05, 0.95), st.integers(0, 1000))
 def test_decompose_deterministic(n, p, seed):
@@ -124,15 +146,17 @@ def test_decompose_deterministic(n, p, seed):
     assert [q.vertices for q in a.paths] == [q.vertices for q in b.paths]
 
 
-def decompose_by_filter(G):
-    """The per-component decomposition as it was first written, kept as a
-    reference: one scan of E(G) for each connected component."""
+def decompose_by_scan(G):
+    """The greedy decomposition with its start found by a scan of every
+    vertex before each path, kept as a reference for the heap."""
+    adj = {}
+    for u, v in G.edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
     out = []
-    for comp in G.components():
-        cset = set(comp)
-        comp_edges = sorted(e for e in G.edges if e[0] in cset and e[1] in cset)
-        if comp_edges:
-            out.extend(_decompose_component(comp_edges))
+    while any(adj.values()):
+        start = max(adj, key=lambda v: (len(adj[v]), -v))
+        out.append(_extract_long_path(adj, start))
     return out
 
 
@@ -171,18 +195,33 @@ def many_component_graphs():
     yield from bitcode_subgraphs(union)
 
 
+def test_decompose_matches_scan():
+    # the heap takes the start the scan rule names: most remaining edges,
+    # least label on ties
+    rng = random.Random(4242)
+    graphs = list(many_component_graphs())
+    graphs += [random_graph(rng, n_max=60) for _ in range(200)]
+    for G in graphs:
+        D = decompose_into_paths(G)
+        assert [list(p.vertices) for p in D.paths] == decompose_by_scan(G)
+
+
 def test_decompose_matches_per_component_filter():
+    # a greedy path stays inside one component, so the paths of G are the
+    # paths of its components taken one at a time
     count = 0
     for G in many_component_graphs():
-        D = decompose_into_paths(G)
-        assert [list(p.vertices) for p in D.paths] == decompose_by_filter(G)
+        expected = set()
+        for comp in G.components():
+            expected.update(p.vertices for p in decompose_into_paths(G.induced(comp)).paths)
+        assert {p.vertices for p in decompose_into_paths(G).paths} == expected
         count += len(G.components())
     assert count > 1000
 
 
 def test_decompositions_pinned():
-    # sparse graphs with many components and dense ones that shed long
-    # greedy paths first; a change to any decomposition path shows here
+    # sparse graphs with many components and dense G(n, p); a change to
+    # any decomposition shows here
     rng = random.Random(2718)
     graphs = list(many_component_graphs())
     for _ in range(80):
@@ -194,23 +233,21 @@ def test_decompositions_pinned():
         for p in decompose_into_paths(G).paths:
             h.update(repr(p.vertices).encode())
     assert h.hexdigest() == (
-        "c3cabd980a7db225c495294b9e011ba243a87b01d45e1e337440640c075a9cec")
+        "067d67d08817941d155b3c18b55257612e08605a6c71ce351bd77b0c2baa7e1c")
 
 
 def test_component_decomposition_ignores_edge_order():
-    # every choice in _decompose_component is a min, a max on a unique key or
-    # a sort, so the order of its edge list must not change its paths
+    # every choice of the decomposition is a heap pop on a unique key, a max
+    # on a unique key or a sort, so the order of the edge list must not
+    # change its paths
     rng = random.Random(31)
     graphs = [generate("hypercube", 8), generate("grid", 20, 20)]
     graphs += [random_graph(rng, n_max=60) for _ in range(120)]
     for G in graphs:
-        for comp in G.components():
-            cset = set(comp)
-            edges = sorted(e for e in G.edges if e[0] in cset)
-            if not edges:
-                continue
-            expected = _decompose_component(edges)
-            shuffled = list(edges)
-            rng.shuffle(shuffled)
-            assert _decompose_component(shuffled) == expected
-            assert _decompose_component(edges[::-1]) == expected
+        edges = sorted(G.edges)
+        expected = [p.vertices for p in decompose_into_paths(G).paths]
+        shuffled = list(edges)
+        rng.shuffle(shuffled)
+        for order in (shuffled, edges[::-1]):
+            H = Graph(G.n, order)
+            assert [p.vertices for p in decompose_into_paths(H).paths] == expected

@@ -146,22 +146,22 @@ def test_separate_all_output_pinned():
     # the pipeline candidate alone shows in the report digest only
     system, report = separate_all(generate("gnp", 60, 0.5, seed=16), seed=0)
     assert digest(system_to_text(system)) == (
-        "304900976d221a465e335a99b6489b8d6c4c40af4951aa6795cd5f700448a0f2")
+        "3789b0b418f061a5dc9291049ad10b40d73b6f65af4ac46b0ef1a263690cf16f")
     assert digest(report.to_csv()) == (
-        "64da079dee8f6dd95f3cdd1c4fdfac918c9095ffacf230f227871ab601702a4a")
+        "ffe9155ee7e696fb11915e40c331b594be0494489c8b7339648f0ec0da800c0b")
 
 
 def test_dense_expander_output_pinned():
     st = separate_dense_expander(generate("gnp", 40, 0.5, seed=9), seed=1)
     assert digest(system_to_text(st.system)) == (
-        "980ed671c7cefb2c0f49d6116cf16ab9b0f4ad840fac6aa90776ce242474f694")
+        "6938820beda72a950a970ddb4f66679b9a2d865a50d655904e0eb3ab04b16438")
 
 
 def test_high_degree_output_pinned():
     hub = four_hub_graph()
     st = separate_high_degree(hub, hub.avg_degree())
     assert digest(system_to_text(st.system)) == (
-        "319682cdc5c9bc2a0587ffec13a4700e623771d3fa53eafa53c7c9db84f91710")
+        "54e4a0839b96eb53b4282095aad67d72b12fb2f13e5e69cca3b74572d737641d")
 
 
 def test_separate_all_dense_stage_pinned():
@@ -170,9 +170,9 @@ def test_separate_all_dense_stage_pinned():
     # threshold and the sparse edge budget
     system, report = separate_all(three_block_graph(1001), seed=1001)
     assert digest(system_to_text(system)) == (
-        "8c67227d89f9a126588b9e87d37b43f404758888da5ca7dc19233ba363bf6e13")
+        "2e8c1b8d268a746430d5dc8ac64556dd0b3b4b8519d60668514f36710e77d819")
     assert digest(report.to_csv()) == (
-        "3b0a52c301de248f8af485f8a26eef08872965a386b1c3e58aa6f2ce58e26681")
+        "922934698068a1658305cb24154049ad8358de946f35aa0de0a7e215be82d822")
 
 
 def test_separate_all_sparse_bitcode_pinned():
@@ -180,7 +180,7 @@ def test_separate_all_sparse_bitcode_pinned():
     # baseline decomposes 16 subgraphs with every vertex live
     system, report = separate_all(relabel(generate("hypercube", 8), 8), seed=8)
     assert digest(system_to_text(system) + report.to_csv()) == (
-        "b59be3bbcfd8e1577d1ba2608927f282364c91629758931a0884620a96252916")
+        "cb1f09eb4982d3fa6e3df133e5648b43587d8e3cb150a77c449756dafd3027da")
 
 
 def test_sparse_expander_fallback_pinned():
@@ -190,7 +190,7 @@ def test_sparse_expander_fallback_pinned():
     st = separate_sparse_expander(generate("cycle", 60), 4)
     assert st.fallback_count == 60
     assert digest(system_to_text(st.system)) == (
-        "b2d16828f80a0ddc09b497c909f40965513ac1474af1469fa68469c6882d0bbf")
+        "ba8a39fd2978a2e5dacd6198e3720c62bd48340e52fd5f1c57d358a511ead824")
 
 
 def test_expander_decompose_pinned():

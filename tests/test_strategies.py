@@ -442,15 +442,27 @@ def test_separate_all_names_the_failed_sparse_part(monkeypatch):
     assert str(exc.value.__cause__.__cause__) == "spread matching audit failed"
 
 
-def test_separate_all_names_the_level_of_instance_106001():
-    # the benchmark's clustered instance 106001 overshoots the decomposition
-    # bound at its second level, in the first dense part; once the bound
-    # holds by construction, this instance should separate instead (ROADMAP
-    # Direction 4). The message names the level and the part.
-    with pytest.raises(AssertionError, match=r"^level 1 \(seed 13886132, 90 "
-                       r"vertices, 848 edges\): dense-expander part 0 \(seed "
-                       r"434344323837, 25 vertices, 284 edges\): path "
-                       r"decomposition produced 17 > n = 15 paths$"):
+def test_separate_all_separates_instance_106001():
+    # the benchmark's clustered instance 106001 once overshot the
+    # decomposition bound at its second level, in the first dense part
+    G = three_block_graph(106001)
+    system, _ = separate_all(G, seed=106001)
+    assert system.target == G.edges
+    assert verify_separation(system).ok
+
+
+def test_separate_all_names_the_level_of_instance_106001(monkeypatch):
+    # a decomposition overshooting the n bound inside a dense part names the
+    # level and the part, and keeps the message
+    def overshooting(G):
+        raise AssertionError("path decomposition produced %d > n = %d paths"
+                             % (len(G) + 2, len(G)))
+
+    monkeypatch.setattr("seppath.strategies.decompose_into_paths", overshooting)
+    with pytest.raises(AssertionError, match=r"^level 0 \(seed 13886131, 90 "
+                       r"vertices, 1261 edges\): dense-expander part 0 \(seed "
+                       r"434344292558, 30 vertices, 413 edges\): path "
+                       r"decomposition produced 25 > n = 23 paths$"):
         separate_all(three_block_graph(106001), seed=106001)
 
 
