@@ -250,3 +250,40 @@ def baseline_nlogn(G):
             H = Graph._view(G.n, sub, G.live)
             paths.extend(decompose_into_paths(H).paths)
     return PathSystem(G, paths, mode="strong")
+
+
+def column_odd_counts(G):
+    """
+    The number of odd-degree vertices of each column subgraph of
+    baseline_nlogn, bit-set then bit-unset for each bit, from one pass over
+    the sorted edges. Bit b of the XOR of the indices of v's edges is v's
+    degree parity in the bit-set column b; that bit XOR the parity of
+    deg(v) is its parity in the bit-unset column b.
+    """
+    edges = sorted(G.edges)
+    bits = max(1, (len(edges) - 1).bit_length())
+    xor = {}
+    for i, (u, v) in enumerate(edges):
+        xor[u] = xor.get(u, 0) ^ i
+        xor[v] = xor.get(v, 0) ^ i
+    counts = [0] * (2 * bits)
+    for v, x in xor.items():
+        parity = G.degree(v) & 1
+        for b in range(bits):
+            s = (x >> b) & 1
+            counts[2 * b] += s
+            counts[2 * b + 1] += s ^ parity
+    return counts
+
+
+def bitcode_lower_bound(G):
+    """
+    A lower bound on len(baseline_nlogn(G)) that decomposes nothing. Every
+    odd-degree vertex of a column subgraph ends a path of its decomposition,
+    and every column is non-empty, so a column with k odd vertices costs at
+    least max(1, k/2) paths.
+    """
+    m = G.num_edges()
+    if m <= 1:
+        return m
+    return sum(max(1, k // 2) for k in column_odd_counts(G))

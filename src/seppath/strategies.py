@@ -25,6 +25,7 @@ from .graphs import Graph, Path, ball
 from .separation import (
     PathSystem,
     baseline_nlogn,
+    bitcode_lower_bound,
     singleton_baseline,
     verify_separation,
 )
@@ -602,7 +603,10 @@ def one_step(G, seed):
 
 
 class RunReport:
-    """Row-oriented run log plus the final candidate selection."""
+    """Row-oriented run log plus the final candidate selection. A
+    `candidate:<name>` row gives the size of a system that was built; a
+    `bound:bitcode-baseline` row stands in its place when the bit code was
+    not built, and gives the lower bound that ruled it out."""
 
     COLUMNS = ("level", "stage_tag", "part_count", "system_size",
                "fallback_count", "residual_edges", "elapsed_ms")
@@ -626,6 +630,8 @@ def separate_all(G, seed=0, timings=False):
     leftover edges as singletons, and return the smallest verified system
     among the pipeline (the stage systems, each inside its own part, plus
     the tail) and two baselines. Output separates E(G) in <= e(G) paths.
+    The bit-code baseline is built only when bitcode_lower_bound leaves it
+    a chance to be selected: below the pipeline's size and at most e(G).
     """
     rows, paths, targets = [], [], []
     level = 0
@@ -660,11 +666,21 @@ def separate_all(G, seed=0, timings=False):
                    if witness[0] in t), "singleton-tail")
         raise AssertionError("pipeline output failed verification at %s, "
                              "witness %r" % (at, witness))
+    # the pipeline wins ties, and the bit code wins them against the
+    # singletons, so the bit code is built only when its bound leaves it
+    # a chance; otherwise its row reports the bound
+    bound = bitcode_lower_bound(G)
+    bitcode = (baseline_nlogn(G)
+               if bound < len(pipeline) and bound <= G.num_edges() else None)
     candidates = [("pipeline", pipeline),
-                  ("bitcode-baseline", baseline_nlogn(G)),
+                  ("bitcode-baseline", bitcode),
                   ("singleton-baseline", singleton_baseline(G))]
     for name, system in candidates:
-        rows.append((level, "candidate:" + name, 0, len(system), 0, 0, 0))
+        if system is None:
+            rows.append((level, "bound:" + name, 0, bound, 0, 0, 0))
+        else:
+            rows.append((level, "candidate:" + name, 0, len(system), 0, 0, 0))
+    candidates = [ns for ns in candidates if ns[1] is not None]
     selected_name, selected = min(candidates, key=lambda ns: (len(ns[1]),
                                                               ns[0] != "pipeline"))
     if selected is not pipeline and not verify_separation(selected).ok:

@@ -1,4 +1,5 @@
-"""Acceptance checks: one test per criterion, shared corpus run for 3/4/8/9."""
+"""Acceptance checks: one test per criterion, shared corpus run for 3/4/8/9
+and for the check that skipping the bit code changes no selection."""
 
 import itertools
 import math
@@ -31,6 +32,8 @@ from seppath.strategies import (
     reset_audit_counters,
     separate_all,
 )
+from test_decomp import relabel
+from test_pinned_outputs import three_block_graph
 
 
 # ---------------------------------------------------------------- corpus
@@ -337,3 +340,34 @@ def test_criterion_9_determinism(corpus_runs):
         system2, report2 = separate_all(run["G"], seed=run["seed"])
         assert system_to_text(system2) == system_to_text(run["system"]), run
         assert report2.to_csv() == run["report"].to_csv(), run
+
+
+def test_bitcode_skip_changes_no_selection(corpus_runs, monkeypatch):
+    # the reference builds the bit code whatever its bound; the skip keeps
+    # the selected system and every row but the bit code's, which becomes
+    # the bound row only where the built bit code loses. A losing bit code
+    # can still be built: on six corpus instances (gnp at p = 0.1 and
+    # 8-regular) its bound is at most e(G) and its size above it.
+    runs = [(run["G"], run["seed"], run["system"], run["report"])
+            for run in corpus_runs]
+    for G, seed in [(relabel(generate("hypercube", 8), 8), 8),
+                    (generate("grid", 12, 12), 0),
+                    (generate("gnp", 60, 0.5, seed=16), 0),
+                    (three_block_graph(1001), 1001)]:
+        runs.append((G, seed) + separate_all(G, seed=seed))
+    monkeypatch.setattr("seppath.strategies.bitcode_lower_bound", lambda G: 0)
+    skipped = 0
+    for G, seed, system, report in runs:
+        ref_system, ref_report = separate_all(G, seed=seed)
+        assert system_to_text(system) == system_to_text(ref_system)
+        assert report.selected == ref_report.selected
+        assert len(report.rows) == len(ref_report.rows)
+        for row, ref_row in zip(report.rows, ref_report.rows):
+            if row[1] == "bound:bitcode-baseline":
+                assert ref_row[1] == "candidate:bitcode-baseline"
+                assert row[3] <= ref_row[3]
+                assert ref_report.selected != "bitcode-baseline"
+                skipped += 1
+            else:
+                assert row == ref_row
+    assert skipped >= 25

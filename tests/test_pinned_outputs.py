@@ -3,11 +3,11 @@ pipeline's behaviour must keep these digests; any change to a system or a
 report shows here. The first six cases run the sparse-expander completion
 (inside separate_all), the dense tripartition, the high-degree completion,
 the dense stage reached through separate_all, a sparse graph whose
-bit-code baseline decomposes subgraphs of many components, and the sparse
-expander on its own where the spread limit binds and every completion
-falls back. The last two pin the two searches the pipeline builds on:
-expander_decompose under the pipeline's three ExpanderParams, and
-complete_to_path on seeded cores of several paths."""
+bit-code baseline its lower bound rules out, and the sparse expander on
+its own where the spread limit binds and every completion falls back. The
+last two pin the two searches the pipeline builds on: expander_decompose
+under the pipeline's three ExpanderParams, and complete_to_path on seeded
+cores of several paths."""
 
 import hashlib
 import random
@@ -176,11 +176,13 @@ def test_separate_all_dense_stage_pinned():
 
 
 def test_separate_all_sparse_bitcode_pinned():
-    # a relabelled hypercube(8) lies below the degree floor, so the bit-code
-    # baseline decomposes 16 subgraphs with every vertex live
+    # a relabelled hypercube(8) lies below the degree floor, so the pipeline
+    # is the singleton tail; the bit code's lower bound, 1122, exceeds
+    # e(G) = 1024, so the bit code is not built and the report gives the
+    # bound in its row
     system, report = separate_all(relabel(generate("hypercube", 8), 8), seed=8)
     assert digest(system_to_text(system) + report.to_csv()) == (
-        "cb1f09eb4982d3fa6e3df133e5648b43587d8e3cb150a77c449756dafd3027da")
+        "9c7f5504b17df3790a98a0e064aed0667882995c0d8b4d289bd5f1be3c16fb41")
 
 
 def test_sparse_expander_fallback_pinned():

@@ -8,10 +8,13 @@ from seppath.separation import (
     PathSystem,
     all_simple_paths,
     baseline_nlogn,
+    bitcode_lower_bound,
     brute_force_min_system,
+    column_odd_counts,
     singleton_baseline,
     verify_separation,
 )
+from test_decomp import bitcode_subgraphs, many_component_graphs
 
 
 def naive_check(system):
@@ -237,6 +240,60 @@ def test_baseline_nlogn():
         if m > 1:
             bits = max(1, (m - 1).bit_length())
             assert len(sys_) <= 2 * bits * len(G)
+
+
+def bound_graphs():
+    rng = random.Random(20)
+    for _ in range(80):
+        yield generate("gnp", rng.randint(1, 60), rng.choice([0.05, 0.2, 0.5, 0.9]),
+                       seed=rng.randrange(10**9))
+    for a in range(1, 7):
+        for b in range(a, 9):
+            yield generate("grid", a, b)
+    for k in range(1, 9):
+        yield generate("hypercube", k)
+    for n in range(2, 13):
+        yield generate("path", n)
+        yield generate("star", n)
+        yield generate("complete", n)
+        if n >= 3:
+            yield generate("cycle", n)
+    yield from many_component_graphs()
+    yield Graph(3, [])
+    yield Graph(3, [(0, 1)])
+    yield Graph(3, [(0, 1), (1, 2)])
+    yield Graph(4, [(0, 1), (2, 3)])
+
+
+def test_bitcode_lower_bound_holds():
+    # every odd vertex of a column ends one of its paths, and no column is
+    # empty, so no decomposition of the columns beats the bound
+    tight = 0
+    for G in bound_graphs():
+        bound = bitcode_lower_bound(G)
+        size = len(baseline_nlogn(G))
+        assert bound <= size, (G, bound, size)
+        tight += bound == size
+    assert tight >= 40
+    # m <= 1 matches the singleton case; a 2-edge path has two 1-edge columns
+    assert bitcode_lower_bound(Graph(3, [])) == 0
+    assert bitcode_lower_bound(Graph(3, [(0, 1)])) == 1
+    assert bitcode_lower_bound(Graph(3, [(0, 1), (1, 2)])) == 2
+
+
+def test_column_odd_counts_match_the_column_graphs():
+    # bit b of the XOR of v's edge indices is v's parity in column b
+    rng = random.Random(21)
+    graphs = [generate("gnp", rng.randint(2, 60), rng.choice([0.1, 0.4, 0.8]),
+                       seed=rng.randrange(10**9)) for _ in range(40)]
+    graphs += [generate("hypercube", 6), generate("grid", 7, 9),
+               Graph(3, [(0, 1), (1, 2)])]
+    graphs += list(many_component_graphs())
+    for G in graphs:
+        if G.num_edges() < 2:
+            continue
+        assert column_odd_counts(G) == [
+            sum(H.degree(v) % 2 for v in H.vertices()) for H in bitcode_subgraphs(G)]
 
 
 def ref_verify_separation(system):
