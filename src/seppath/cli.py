@@ -6,6 +6,7 @@ Exit codes: 0 ok, 1 verification failure, 2 usage or bad data, 3 I/O error,
 """
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -161,7 +162,10 @@ def cmd_oracle(args):
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The command line parser, built once per process: parse_args leaves
+    it unchanged, so every call of main can share it."""
     parser = argparse.ArgumentParser(
         prog="seppath",
         description="Certified separating path systems for undirected graphs.")

@@ -38,11 +38,12 @@ class Graph:
     @classmethod
     def _view(cls, n, edges, live):
         """
-        A subgraph of a checked graph, built without __init__'s checks: live
-        is a frozenset of in-range vertices and edges a set of canonical
-        edges between them, so none of the checks could fail. When edges
-        was built by adding the edges in the order __init__ would have,
-        G.edges iterates in the same order as __init__'s result.
+        A graph built without __init__'s checks, for callers that have
+        made them already: a subgraph of a checked graph, or a parsed edge
+        list. live is a frozenset of in-range vertices and edges a set of
+        canonical edges between them, so none of the checks could fail.
+        When edges was built by adding the edges in the order __init__
+        would have, G.edges iterates in the same order as __init__'s result.
         """
         G = object.__new__(cls)
         G._fill(n, edges, live)
@@ -209,6 +210,9 @@ def ball(G, X, i):
 def graph_from_edge_list(text):
     """
     Parse line-oriented edge list: optional '# n=<N>' header, then 'u v' lines.
+    Each line is checked here for every rule Graph.__init__ enforces
+    (integer, non-negative, no self-loop, inside '# n='), so the graph is
+    built as a view.
     """
     n_override = None
     header = None
@@ -249,13 +253,13 @@ def graph_from_edge_list(text):
             max_v = max(u, v)
             records.append((lineno, u, v))
     if n_override is None:
-        return Graph(max_v + 1, edges)
-    if max_v >= n_override:
+        n_override = max_v + 1
+    elif max_v >= n_override:
         lineno, u, v = next(r for r in records if max(r[1:]) >= n_override)
         raise ValueError("line %d: vertex %d out of range for %r on line %d"
                          % (lineno, u if u >= n_override else v, header[1],
                             header[0]))
-    return Graph(n_override, edges)
+    return Graph._view(n_override, edges, frozenset(range(n_override)))
 
 
 def serialize_edge_list(G):

@@ -17,11 +17,13 @@ class PathSystem:
             raise ValueError("mode must be strong or weak")
         self.host = host
         self.paths = tuple(paths)
-        self.target = frozenset(
-            canonical_edge(*e) for e in (host.edges if target is None else target)
-        )
-        if not self.target <= host.edges:
-            raise ValueError("target contains non-edges of the host")
+        if target is None or target is host.edges:
+            # the host's edge set is already a frozenset of canonical edges
+            self.target = host.edges
+        else:
+            self.target = frozenset(canonical_edge(*e) for e in target)
+            if not self.target <= host.edges:
+                raise ValueError("target contains non-edges of the host")
         self.mode = mode
 
     def __len__(self):

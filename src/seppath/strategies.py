@@ -604,9 +604,11 @@ def one_step(G, seed):
 
 class RunReport:
     """Row-oriented run log plus the final candidate selection. A
-    `candidate:<name>` row gives the size of a system that was built; a
+    `candidate:<name>` row gives the size of a candidate system; a
     `bound:bitcode-baseline` row stands in its place when the bit code was
-    not built, and gives the lower bound that ruled it out."""
+    not built, and gives the lower bound that ruled it out. The
+    `candidate:singleton-baseline` row gives e(G), the singleton system's
+    size: that system is built and verified only when it is selected."""
 
     COLUMNS = ("level", "stage_tag", "part_count", "system_size",
                "fallback_count", "residual_edges", "elapsed_ms")
@@ -632,6 +634,7 @@ def separate_all(G, seed=0, timings=False):
     the tail) and two baselines. Output separates E(G) in <= e(G) paths.
     The bit-code baseline is built only when bitcode_lower_bound leaves it
     a chance to be selected: below the pipeline's size and at most e(G).
+    The singleton baseline is sized as e(G) and built only when selected.
     """
     rows, paths, targets = [], [], []
     level = 0
@@ -669,20 +672,23 @@ def separate_all(G, seed=0, timings=False):
     # the pipeline wins ties, and the bit code wins them against the
     # singletons, so the bit code is built only when its bound leaves it
     # a chance; otherwise its row reports the bound
+    m = G.num_edges()
     bound = bitcode_lower_bound(G)
-    bitcode = (baseline_nlogn(G)
-               if bound < len(pipeline) and bound <= G.num_edges() else None)
-    candidates = [("pipeline", pipeline),
-                  ("bitcode-baseline", bitcode),
-                  ("singleton-baseline", singleton_baseline(G))]
-    for name, system in candidates:
-        if system is None:
-            rows.append((level, "bound:" + name, 0, bound, 0, 0, 0))
-        else:
-            rows.append((level, "candidate:" + name, 0, len(system), 0, 0, 0))
-    candidates = [ns for ns in candidates if ns[1] is not None]
-    selected_name, selected = min(candidates, key=lambda ns: (len(ns[1]),
-                                                              ns[0] != "pipeline"))
+    bitcode = baseline_nlogn(G) if bound < len(pipeline) and bound <= m else None
+    rows.append((level, "candidate:pipeline", 0, len(pipeline), 0, 0, 0))
+    if bitcode is None:
+        rows.append((level, "bound:bitcode-baseline", 0, bound, 0, 0, 0))
+    else:
+        rows.append((level, "candidate:bitcode-baseline", 0, len(bitcode),
+                     0, 0, 0))
+    # the singleton system has e(G) paths and loses every tie, so it is
+    # built only when both other candidates exceed e(G)
+    rows.append((level, "candidate:singleton-baseline", 0, m, 0, 0, 0))
+    selected_name, selected = "pipeline", pipeline
+    if bitcode is not None and len(bitcode) < len(pipeline):
+        selected_name, selected = "bitcode-baseline", bitcode
+    if len(selected) > m:
+        selected_name, selected = "singleton-baseline", singleton_baseline(G)
     if selected is not pipeline and not verify_separation(selected).ok:
         raise AssertionError("selected baseline failed verification")
     rows.append((level, "selected:" + selected_name, 0, len(selected), 0, 0, 0))

@@ -1,5 +1,6 @@
-"""Acceptance checks: one test per criterion, shared corpus run for 3/4/8/9
-and for the check that skipping the bit code changes no selection."""
+"""Acceptance checks: one test per criterion, shared corpus run for 3/4/8/9,
+for the check that skipping the bit code changes no selection and for the
+check that the singleton candidate is sized without being built."""
 
 import itertools
 import math
@@ -73,14 +74,23 @@ def make_instance(fam, param, n, seed):
 def corpus_runs():
     reset_audit_counters()
     runs = []
-    for fam, param, n, seed in corpus_specs():
-        G = make_instance(fam, param, n, seed)
-        t0 = time.perf_counter()
-        system, report = separate_all(G, seed=seed)
-        elapsed = time.perf_counter() - t0
-        runs.append({"fam": fam, "param": param, "n": n, "seed": seed,
-                     "G": G, "system": system, "report": report,
-                     "elapsed": elapsed})
+    built = []  # the graphs whose singleton system was built
+
+    def counting(G):
+        built.append(G)
+        return singleton_baseline(G)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("seppath.strategies.singleton_baseline", counting)
+        for fam, param, n, seed in corpus_specs():
+            G = make_instance(fam, param, n, seed)
+            built.clear()
+            t0 = time.perf_counter()
+            system, report = separate_all(G, seed=seed)
+            elapsed = time.perf_counter() - t0
+            runs.append({"fam": fam, "param": param, "n": n, "seed": seed,
+                         "G": G, "system": system, "report": report,
+                         "elapsed": elapsed, "singleton_builds": len(built)})
     return runs
 
 
@@ -333,6 +343,16 @@ def test_criterion_8_matching_audits(corpus_runs):
     assert audit_matchings_basic(D.paths, M)
     for kind in ("basic", "degree", "spread", "groups"):
         assert audit_counters[kind] > 0, kind
+
+
+def test_singleton_candidate_is_sized_not_built(corpus_runs):
+    # no corpus instance selects the singletons, so none builds them; the
+    # candidate row still gives their size, e(G)
+    for run in corpus_runs:
+        assert run["singleton_builds"] == 0, run
+        row = next(r for r in run["report"].rows
+                   if r[1] == "candidate:singleton-baseline")
+        assert row[3] == run["G"].num_edges(), run
 
 
 def test_criterion_9_determinism(corpus_runs):

@@ -5,7 +5,13 @@ import sys
 
 import pytest
 
-from seppath.cli import main, paths_from_text, system_to_text, write_atomic
+from seppath.cli import (
+    build_parser,
+    main,
+    paths_from_text,
+    system_to_text,
+    write_atomic,
+)
 from seppath.graphs import Path, generate, graph_from_edge_list, serialize_edge_list
 from seppath.separation import PathSystem, singleton_baseline
 from test_decomp import relabel
@@ -92,6 +98,40 @@ def test_separate_output_independent_of_hash_seed(tmp_path):
                            env=env, check=True, capture_output=True)
             outs.append((s.read_bytes(), r.read_bytes()))
         assert outs[0] == outs[1], name
+
+
+def test_reused_parser_matches_fresh_interpreters(tmp_path, capsys):
+    # main shares one parser across calls; a usage error between commands
+    # must leave the later commands writing what fresh interpreters write
+    assert build_parser() is build_parser()
+    for name, G in (("a", generate("gnp", 40, 0.5, seed=0)),
+                    ("b", generate("grid", 6, 6))):
+        (tmp_path / (name + ".edges")).write_text(serialize_edge_list(G))
+
+    def commands(tag):
+        def at(name):
+            return str(tmp_path / name.replace("*", tag))
+        return [["separate", "--in", at("a.edges"), "--out-system",
+                 at("a-*.system"), "--out-report", at("a-*.csv"), "--seed", "3"],
+                ["verify", "--graph", at("a.edges")],
+                ["verify", "--graph", at("a.edges"), "--system", at("a-*.system")],
+                ["separate", "--in", at("b.edges"), "--out-system",
+                 at("b-*.system"), "--out-report", at("b-*.csv")]]
+
+    same = []
+    for argv in commands("same"):
+        try:
+            same.append(run(argv))
+        except SystemExit as exc:
+            same.append(exc.code)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    fresh = [subprocess.run([sys.executable, "-m", "seppath.cli"] + argv,
+                            env=env, capture_output=True).returncode
+             for argv in commands("fresh")]
+    assert same == fresh == [0, 2, 0, 0]
+    for name in ("a-%s.system", "a-%s.csv", "b-%s.system", "b-%s.csv"):
+        same = (tmp_path / (name % "same")).read_bytes()
+        assert same == (tmp_path / (name % "fresh")).read_bytes(), name
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -57,6 +57,34 @@ def test_edge_list_header_override():
     assert G.n == 5 and len(G) == 5
 
 
+def test_parsed_edge_lists_equal_checked_graphs():
+    # the parser checks each line itself and builds a view; it must give
+    # the graph that __init__ builds from the same edges, isolated
+    # vertices included
+    rng = random.Random(21)
+    for trial in range(200):
+        n = rng.randint(2, 30)
+        edges = []
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.sample(range(n), 2)
+            edges.append((u, v))
+            if rng.random() < 0.2:
+                edges.append((v, u))
+        lines = ["%d %d" % e for e in edges]
+        for filler in ("", "   ", "# a comment", "#n is not a header"):
+            for _ in range(rng.randint(0, 2)):
+                lines.insert(rng.randint(0, len(lines)), filler)
+        headed = trial % 2 == 0
+        if headed:
+            n += rng.randint(0, 3)
+            lines.insert(rng.randint(0, len(lines)), "# n=%d" % n)
+        else:
+            n = 1 + max((max(e) for e in edges), default=-1)
+        G = graph_from_edge_list("\n".join(lines))
+        ref = Graph(n, edges)
+        assert G == ref and G.adj == ref.adj, (trial, lines)
+
+
 @given(small_graphs())
 def test_serialize_parse_identity(G):
     assert graph_from_edge_list(serialize_edge_list(G)) == G

@@ -232,6 +232,24 @@ def test_singleton_baseline():
     assert verify_separation(empty).ok
 
 
+def test_path_system_keeps_the_host_edge_set_as_target():
+    G = generate("gnp", 12, 0.5, seed=3)
+    paths = singleton_baseline(G).paths
+    assert PathSystem(G, paths).target is G.edges
+    assert PathSystem(G, paths, target=G.edges).target is G.edges
+    # an equal set that is not the host's own is still canonicalized
+    flipped = {(v, u) for u, v in G.edges}
+    system = PathSystem(G, paths, target=flipped)
+    assert system.target == G.edges and system.target is not G.edges
+
+
+def test_path_system_canonicalizes_and_checks_other_targets():
+    G = Graph(3, [(0, 1), (1, 2)])
+    assert PathSystem(G, [Path((0, 1))], target=[(1, 0)]).target == {(0, 1)}
+    with pytest.raises(ValueError, match="non-edges"):
+        PathSystem(G, [Path((0, 1))], target=[(1, 0), (0, 2)])
+
+
 def test_baseline_nlogn():
     for G in [Graph(2, [(0, 1)]), generate("complete", 3), generate("gnp", 40, 0.3, seed=2)]:
         sys_ = baseline_nlogn(G)

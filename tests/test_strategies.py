@@ -4,9 +4,10 @@ from collections import Counter
 
 import pytest
 
+from seppath.cli import system_to_text
 from seppath.decomp import decompose_into_bounded_paths, decompose_into_paths
 from seppath.graphs import Graph, Path, ball, generate
-from seppath.separation import verify_separation
+from seppath.separation import PathSystem, singleton_baseline, verify_separation
 from seppath.strategies import (
     DEGREE_FLOOR,
     StageResult,
@@ -409,6 +410,76 @@ def test_separate_all_deterministic():
     assert [p.vertices for p in s1.paths] == [p.vertices for p in s2.paths]
     assert r1.to_csv() == r2.to_csv()
     assert r1.selected == r2.selected
+
+
+def count_singleton_builds(monkeypatch):
+    calls = []
+
+    def counting(G):
+        calls.append(G)
+        return singleton_baseline(G)
+
+    monkeypatch.setattr("seppath.strategies.singleton_baseline", counting)
+    return calls
+
+
+def report_row(report, tag):
+    return next(row for row in report.rows if row[1] == tag)
+
+
+def test_separate_all_sizes_the_singleton_candidate(monkeypatch):
+    # on sparse inputs no level runs and the bit code is skipped; the
+    # singleton row reads e(G) although the singleton system is not built
+    calls = count_singleton_builds(monkeypatch)
+    for G in (generate("grid", 9, 9), generate("hypercube", 7),
+              generate("random_regular", 80, 4, seed=2)):
+        system, report = separate_all(G, seed=0)
+        assert report.selected == "pipeline"
+        assert report_row(report, "candidate:singleton-baseline")[3] == G.num_edges()
+        assert report_row(report, "bound:bitcode-baseline")
+    assert calls == []
+
+
+def doubled_step(G, seed):
+    """A verified level that spends two single-edge paths on every edge."""
+    paths = [Path(e) for e in sorted(G.edges)] * 2
+    return StageResult(G, paths, G.edges, Graph._view(G.n, set(), G.live), 0,
+                       "one-step", source=G)
+
+
+def force_singletons(monkeypatch):
+    # hypercube(8) has e = 1024 and a bit-code bound of 1122, so the bit
+    # code is skipped; one doubled level makes the pipeline 2048 paths
+    monkeypatch.setattr("seppath.strategies.DEGREE_FLOOR", 0.0)
+    monkeypatch.setattr("seppath.strategies.one_step", doubled_step)
+    return generate("hypercube", 8)
+
+
+def test_separate_all_builds_a_selected_singleton_system(monkeypatch):
+    G = force_singletons(monkeypatch)
+    calls = count_singleton_builds(monkeypatch)
+    system, report = separate_all(G, seed=0)
+    assert calls == [G]
+    assert report.selected == "singleton-baseline"
+    assert system_to_text(system) == system_to_text(singleton_baseline(G))
+    assert report_row(report, "candidate:pipeline")[3] == 2 * G.num_edges()
+    assert report_row(report, "bound:bitcode-baseline")[3] > G.num_edges()
+    assert report_row(report, "candidate:singleton-baseline")[3] == G.num_edges()
+    assert report.rows[-1][1:4] == ("selected:singleton-baseline", 0,
+                                    G.num_edges())
+
+
+def test_separate_all_verifies_a_selected_singleton_system(monkeypatch):
+    G = force_singletons(monkeypatch)
+
+    def corrupted(G):
+        # the least edge lies on no path
+        return PathSystem(G, [Path(e) for e in sorted(G.edges)[1:]])
+
+    monkeypatch.setattr("seppath.strategies.singleton_baseline", corrupted)
+    with pytest.raises(AssertionError,
+                       match="selected baseline failed verification"):
+        separate_all(G, seed=0)
 
 
 def test_separate_all_failed_level_names_itself(monkeypatch):

@@ -177,14 +177,15 @@ def cases(workdir):
             yield from in_process(case, inst.graph, inst.seed)
             if workload == "sparse-cli":
                 yield "cli:" + case, through_cli(inst)
+    # the acceptance and pinned-output modules import their sibling test
+    # modules
+    sys.path.append(os.path.join(ROOT, "tests"))
     acceptance = load("acceptance", os.path.join(ROOT, "tests", "test_acceptance.py"))
     for fam, param, n, seed in acceptance.corpus_specs():
         G = acceptance.make_instance(fam, param, n, seed)
         yield from in_process("acceptance/%s/%s/%d/%d" % (fam, param, n, seed),
                               G, seed)
     yield from stage_cases()
-    # test_pinned_outputs imports its sibling test modules
-    sys.path.append(os.path.join(ROOT, "tests"))
     yield from search_cases(load("pinned", os.path.join(ROOT, "tests",
                                                         "test_pinned_outputs.py")))
 
