@@ -57,7 +57,7 @@ def system_to_text(system):
              "# mode=%s" % system.mode,
              "# paths=%d" % len(system.paths)]
     for p in system.paths:
-        lines.append(" ".join(str(v) for v in p.vertices))
+        lines.append(" ".join(map(str, p.vertices)))
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,7 @@ class Graph:
     via a live-vertex mask; len(G) counts live vertices only.
     """
 
-    __slots__ = ("n", "edges", "adj", "live")
+    __slots__ = ("n", "edges", "adj", "live", "_sorted")
 
     def __init__(self, n, edges, live=None):
         if n < 0:
@@ -58,6 +58,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        self._sorted = None
 
     def __len__(self):
         return len(self.live)
@@ -72,6 +73,13 @@ class Graph:
 
     def num_edges(self):
         return len(self.edges)
+
+    def sorted_edges(self):
+        """E(G) in increasing order: a tuple sorted on the first call and
+        kept, so every caller that walks the edges in order shares one sort."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.edges))
+        return self._sorted
 
     def degree(self, v):
         return len(self.adj.get(v, ()))
@@ -264,7 +272,7 @@ def graph_from_edge_list(text):
 
 def serialize_edge_list(G):
     lines = ["# n=%d" % G.n]
-    lines.extend("%d %d" % e for e in sorted(G.edges))
+    lines.extend("%d %d" % e for e in G.sorted_edges())
     return "\n".join(lines) + "\n"
 
 

@@ -49,50 +49,74 @@ def verify_separation(system):
     and every ordered pair (e, f) of distinct target edges has a path
     containing e but not f. Weak: every unordered pair has a path containing
     exactly one. Witness is the lexicographically least violating pair; a
-    lone target edge on no path has witness (e, None). One walk per path
-    checks it by the rule of Path.valid_in, sets its bit in the signature of
-    each target edge on it and keeps, for each such edge, its path with the
-    fewest target edges.
+    lone target edge on no path has witness (e, None).
+
+    In strong mode the one-edge paths are checked as a set: a path holding
+    the single edge e separates e from every other edge, so e passes, and
+    its bit would lie in no other signature, so it could decide no other
+    pair. Their edges are checked against the host at once and set no bit.
+    One walk per longer path (every path in weak mode) checks it by the
+    rule of Path.valid_in, sets its bit in the signature of each target
+    edge on it and keeps, for each such edge, its path with the fewest
+    target edges. An invalid system raises for its first invalid path.
     """
-    host_edges = system.host.edges
-    sig = {e: 0 for e in system.target}
+    host = system.host
+    host_edges = host.edges
+    target = system.target
+    paths = system.paths
+    strong = system.mode == "strong"
+    # the canonical edges of the one-edge paths; none in weak mode
+    single = {(a, b) if a < b else (b, a) for a, b in
+              (p.vertices for p in paths if len(p.vertices) == 2)
+              } if strong else set()
+    if not host_edges.issuperset(single):
+        # name the first invalid path in index order, of any length
+        bad = next(p for p in paths if not p.valid_in(host))
+        raise ValueError("path %r not valid in host graph" % (bad,))
     # the target is a subset of the host's edges, so when the sizes agree
     # every edge of a valid path is a target edge
-    whole_host = len(sig) == len(host_edges)
+    whole_host = len(target) == len(host_edges)
+    # e -> the bitmap of the longer paths through target edge e
+    sig = {}
     # e -> the target edges of e's path with the fewest of them, the least
     # index on ties
     shortest = {}
-    for i, p in enumerate(system.paths):
+    for i, p in enumerate(paths):
+        if strong and len(p.vertices) == 2:
+            continue
         pe = p.edges()
         if not host_edges.issuperset(pe):
             raise ValueError("path %r not valid in host graph" % (p,))
         bit = 1 << i
-        on_path = pe if whole_host else [e for e in pe if e in sig]
+        on_path = pe if whole_host else [e for e in pe if e in target]
         count = len(on_path)
         for e in on_path:
-            sig[e] |= bit  # the signature of e: a bitmap of its paths
+            sig[e] = sig.get(e, 0) | bit
             kept = shortest.get(e)
             if kept is None or count < len(kept):
                 shortest[e] = on_path
-    edges = sorted(system.target)
-    covered = sum(1 for e in edges if sig[e])
-    if system.mode == "weak":
+    if not whole_host:
+        single &= target
+    covered = len(single.union(sig))
+    edges = host.sorted_edges() if target is host_edges else sorted(target)
+    if not strong:
         by_sig = {}
         witness = None
         for e in edges:
-            other = by_sig.get(sig[e])
+            se = sig.get(e, 0)
+            other = by_sig.get(se)
             if other is not None:
                 pair = (other, e)
                 if witness is None or pair < witness:
                     witness = pair
             else:
-                by_sig[sig[e]] = e
+                by_sig[se] = e
         return SeparationReport(witness is None, witness, covered)
     # strong: (e, f) violated iff every path containing e also contains f.
     # Such an f lies on every path of e, so scanning e's path with the
     # fewest target edges finds the same violations as scanning any other.
-    for e in edges:
-        se = sig[e]
+    for e in sorted(target.difference(single)) if single else edges:
+        se = sig.get(e, 0)
         if se == 0:
             f = next((x for x in edges if x != e), None)
             return SeparationReport(False, (e, f), covered)
@@ -162,7 +186,7 @@ def brute_force_min_system(G, mode="strong", cap=None):
     """
     if len(G) > ORACLE_MAX_N or G.num_edges() > ORACLE_MAX_E:
         raise ValueError("instance too large for the exact search")
-    edges = sorted(G.edges)
+    edges = G.sorted_edges()
     if len(edges) == 1:
         # a lone edge still needs one path so the system identifies it
         if cap is not None and cap < 1:
@@ -231,7 +255,7 @@ def brute_force_min_system(G, mode="strong", cap=None):
 
 def singleton_baseline(G):
     """One single-edge path per edge; always strongly separating."""
-    return PathSystem(G, [Path(e) for e in sorted(G.edges)], mode="strong")
+    return PathSystem(G, [Path(e) for e in G.sorted_edges()], mode="strong")
 
 
 def baseline_nlogn(G):
@@ -239,7 +263,7 @@ def baseline_nlogn(G):
     Bit-code baseline: index the edges, and for each bit position take the
     bit-set and bit-unset subgraphs, decomposing each into paths.
     """
-    edges = sorted(G.edges)
+    edges = G.sorted_edges()
     m = len(edges)
     if m <= 1:
         return singleton_baseline(G)
@@ -260,21 +284,25 @@ def column_odd_counts(G):
     baseline_nlogn, bit-set then bit-unset for each bit, from one pass over
     the sorted edges. Bit b of the XOR of the indices of v's edges is v's
     degree parity in the bit-set column b; that bit XOR the parity of
-    deg(v) is its parity in the bit-unset column b.
+    deg(v) is its parity in the bit-unset column b. So the bit-unset count
+    is the bit-set count plus the odd-degree vertices of G, less twice the
+    odd-degree vertices with bit b set.
     """
-    edges = sorted(G.edges)
+    edges = G.sorted_edges()
     bits = max(1, (len(edges) - 1).bit_length())
     xor = {}
     for i, (u, v) in enumerate(edges):
         xor[u] = xor.get(u, 0) ^ i
         xor[v] = xor.get(v, 0) ^ i
-    counts = [0] * (2 * bits)
-    for v, x in xor.items():
-        parity = G.degree(v) & 1
-        for b in range(bits):
-            s = (x >> b) & 1
-            counts[2 * b] += s
-            counts[2 * b + 1] += s ^ parity
+    adj = G.adj
+    odd = [x for v, x in xor.items() if len(adj[v]) & 1]
+    counts = []
+    for b in range(bits):
+        # each term is 0 or 1 << b, so the shifted sum counts the set bits
+        mask = (1 << b).__and__
+        set_all = sum(map(mask, xor.values())) >> b
+        set_odd = sum(map(mask, odd)) >> b
+        counts += (set_all, set_all + len(odd) - 2 * set_odd)
     return counts
 
 

@@ -659,7 +659,7 @@ def separate_all(G, seed=0, timings=False):
                      st.fallback_count, st.residual.num_edges(), elapsed))
         current = st.residual
         level += 1
-    tail = sorted(current.edges)
+    tail = current.sorted_edges()
     paths.extend(Path(e) for e in tail)
     rows.append((level, "singleton-tail", 0, len(tail), len(tail), 0, 0))
     pipeline = PathSystem(G, paths, target=G.edges)

@@ -323,3 +323,27 @@ def test_valid_in_matches_reference_in_views():
                                and all(e in view.edges for e in es[:-1]))
     assert min(outcomes.values()) >= 400
     assert dead_vertex >= 400 and last_edge_only >= 200
+
+
+def test_sorted_edges_sorts_once_for_every_kind_of_graph():
+    # checked graphs, views, subgraphs and parsed edge lists all keep one
+    # sorted tuple of their edges, and a second call returns the same object
+    rng = random.Random(22)
+    for trial in range(60):
+        n = rng.randint(1, 16)
+        G = generate("gnp", n, rng.choice([0.2, 0.5, 0.9]), seed=trial)
+        dead = rng.sample(range(n), rng.randint(0, n // 2))
+        banned = rng.sample(sorted(G.edges), len(G.edges) // 4)
+        graphs = [
+            G,
+            Graph(n, [(v, u) for u, v in G.edges]),
+            Graph._view(n, set(G.edges), G.live),
+            G.induced(set(range(n)) - set(dead)),
+            G.without(vertices=dead, edges=banned),
+            graph_from_edge_list(serialize_edge_list(G)),
+            Graph(n + 2, []),
+        ]
+        for H in graphs:
+            first = H.sorted_edges()
+            assert first == tuple(sorted(H.edges))
+            assert H.sorted_edges() is first

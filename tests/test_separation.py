@@ -422,3 +422,59 @@ def test_verifier_matches_reference_on_bit_code_systems():
             shorter_than_first += sum(1 for lens in on_paths.values()
                                       if lens and min(lens) < lens[0])
     assert failing >= 40 and shorter_than_first >= 1000, (failing, shorter_than_first)
+
+
+def test_verifier_matches_reference_on_mixed_systems():
+    # strong mode checks one-edge paths as a set, with no signature bit;
+    # systems mixing them with longer paths, duplicated, on edges outside
+    # the target or invalid before or after an invalid longer path, must
+    # give the reference's outcome in both modes
+    rng = random.Random(22)
+    reached = {"duplicate": 0, "outside target": 0, "first raise one-edge": 0,
+               "first raise longer": 0, "ok": 0, "fail": 0, "uncovered": 0}
+    for _ in range(600):
+        n = rng.randint(3, 7)
+        G = generate("gnp", n, rng.choice([0.4, 0.6, 0.8]), seed=rng.randrange(10**9))
+        edges = sorted(G.edges)
+        if not edges:
+            continue
+        longer = [p for p in all_simple_paths(G) if len(p) >= 2]
+        paths = [Path(e if rng.random() < 0.5 else e[::-1])
+                 for e in rng.choices(edges, k=rng.randint(0, len(edges) + 2))]
+        paths += rng.sample(longer, rng.randint(0, min(len(longer), 4)))
+        rng.shuffle(paths)
+        non_edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if not G.has_edge(u, v)]
+        bad_one = bad_longer = None
+        if non_edges and rng.random() < 0.4:
+            bad_one = Path(rng.choice(non_edges))
+            paths.insert(rng.randint(0, len(paths)), bad_one)
+        if longer and rng.random() < 0.4:
+            # a host path run on over a non-edge
+            vs = rng.choice(longer).vertices
+            far = [v for v in range(n) if v not in vs and not G.has_edge(vs[-1], v)]
+            if far:
+                bad_longer = Path(vs + (rng.choice(far),))
+                paths.insert(rng.randint(0, len(paths)), bad_longer)
+        target = (None if rng.random() < 0.5
+                  else rng.sample(edges, rng.randint(0, len(edges))))
+        for mode in ("strong", "weak"):
+            system = PathSystem(G, paths, target=target, mode=mode)
+            got = outcome(verify_separation, system)
+            assert got == outcome(ref_verify_separation, system), (mode, paths)
+            if mode == "weak":
+                continue
+            ones = [e for p in paths if len(p) == 1 for e in p.edges()]
+            reached["duplicate"] += len(ones) > len(set(ones))
+            reached["outside target"] += any(e not in system.target for e in ones
+                                             if G.has_edge(*e))
+            if got[0] == "raise":
+                first = next(p for p in paths if p is bad_one or p is bad_longer)
+                assert repr(first) in got[1]
+                if bad_one is not None and bad_longer is not None:
+                    key = "one-edge" if first is bad_one else "longer"
+                    reached["first raise " + key] += 1
+            else:
+                reached["ok" if got[0] else "fail"] += 1
+                reached["uncovered"] += got[2] < len(system.target)
+    assert min(reached.values()) >= 20, reached
