@@ -31,16 +31,17 @@ class PathSystem:
 
 
 class SeparationReport:
-    __slots__ = ("ok", "witness", "covered")
+    """The verdict of verify_separation and its least violating pair; a
+    target edge on no path has witness (e, None)."""
 
-    def __init__(self, ok, witness, covered):
+    __slots__ = ("ok", "witness")
+
+    def __init__(self, ok, witness):
         self.ok = ok
         self.witness = witness
-        self.covered = covered
 
     def __repr__(self):
-        return "SeparationReport(ok=%r, witness=%r, covered=%d)" % (
-            self.ok, self.witness, self.covered)
+        return "SeparationReport(ok=%r, witness=%r)" % (self.ok, self.witness)
 
 
 def verify_separation(system):
@@ -48,8 +49,8 @@ def verify_separation(system):
     Check the separation property. Strong: every target edge lies on a path,
     and every ordered pair (e, f) of distinct target edges has a path
     containing e but not f. Weak: every unordered pair has a path containing
-    exactly one. Witness is the lexicographically least violating pair; a
-    lone target edge on no path has witness (e, None).
+    exactly one. Witness is the lexicographically least violating pair; in
+    strong mode a target edge on no path has witness (e, None).
 
     In strong mode the one-edge paths are checked as a set: a path holding
     the single edge e separates e from every other edge, so e passes, and
@@ -95,10 +96,9 @@ def verify_separation(system):
             kept = shortest.get(e)
             if kept is None or count < len(kept):
                 shortest[e] = on_path
-    if not whole_host:
-        single &= target
-    covered = len(single.union(sig))
-    edges = host.sorted_edges() if target is host_edges else sorted(target)
+    # target edges to check in order: in strong mode, those on no one-edge path
+    edges = (sorted(target.difference(single)) if single else
+             host.sorted_edges() if target is host_edges else sorted(target))
     if not strong:
         by_sig = {}
         witness = None
@@ -111,23 +111,22 @@ def verify_separation(system):
                     witness = pair
             else:
                 by_sig[se] = e
-        return SeparationReport(witness is None, witness, covered)
+        return SeparationReport(witness is None, witness)
     # strong: (e, f) violated iff every path containing e also contains f.
     # Such an f lies on every path of e, so scanning e's path with the
     # fewest target edges finds the same violations as scanning any other.
-    for e in sorted(target.difference(single)) if single else edges:
+    for e in edges:
         se = sig.get(e, 0)
         if se == 0:
-            f = next((x for x in edges if x != e), None)
-            return SeparationReport(False, (e, f), covered)
+            return SeparationReport(False, (e, None))
         best = None
         for f in shortest[e]:
             if f != e and sig[f] & se == se:
                 if best is None or f < best:
                     best = f
         if best is not None:
-            return SeparationReport(False, (e, best), covered)
-    return SeparationReport(True, None, covered)
+            return SeparationReport(False, (e, best))
+    return SeparationReport(True, None)
 
 
 def all_simple_paths(G):

@@ -30,15 +30,6 @@ from .separation import (
     verify_separation,
 )
 
-# pass counters for the independent audit passes; tests read these to confirm
-# the audits actually ran
-audit_counters = Counter()
-
-
-def reset_audit_counters():
-    audit_counters.clear()
-
-
 def iterated_log(n):
     """Minimal k such that applying log2 k times to n gives a value below 1."""
     if n < 1:
@@ -271,14 +262,13 @@ def _edges_of(member):
     return [(a, b) if a < b else (b, a) for a, b in zip(member, member[1:])]
 
 
-def _audit_slots(decomp_paths, slots, kind, rule=None):
+def _audit_slots(decomp_paths, slots, rule=None):
     """
     The one audit of matchings and groups, with path ownership recomputed
     from the raw decomposition paths: within a slot the members (vertex
     sequences, a matching edge being one of two) share no vertex and meet
     each path in at most one edge, and rule(slot, pids) holds, pids holding
-    the path of each edge of the slot in order. Counts a pass in
-    audit_counters[kind].
+    the path of each edge of the slot in order.
     """
     owner = {}
     for pid, p in enumerate(decomp_paths):
@@ -298,13 +288,12 @@ def _audit_slots(decomp_paths, slots, kind, rule=None):
                 pids[pid] = None
         if rule is not None and not rule(slot, pids):
             return False
-    audit_counters[kind] += 1
     return True
 
 
 def audit_matchings_basic(decomp_paths, matchings):
     """Recompute path membership from the raw paths and re-check matchings."""
-    return _audit_slots(decomp_paths, matchings, "basic")
+    return _audit_slots(decomp_paths, matchings)
 
 
 def audit_matchings_degree(host, decomp_paths, matchings):
@@ -313,7 +302,7 @@ def audit_matchings_degree(host, decomp_paths, matchings):
         buckets = Counter(_bucket(min(host.degree(u), host.degree(v)))
                           for u, v in M)
         return all(k <= _bucket_quota(r) for r, k in buckets.items())
-    return _audit_slots(decomp_paths, matchings, "degree", quota)
+    return _audit_slots(decomp_paths, matchings, quota)
 
 
 def audit_matchings_spread(G, decomp_paths, matchings, d, r0):
@@ -332,12 +321,12 @@ def audit_matchings_spread(G, decomp_paths, matchings, d, r0):
                     return False
             earlier.append(pv)
         return True
-    return _audit_slots(decomp_paths, matchings, "spread", spread)
+    return _audit_slots(decomp_paths, matchings, spread)
 
 
 def audit_groups(decomp_paths, groups):
     """Members vertex-disjoint within each group; one edge per path per group."""
-    return _audit_slots(decomp_paths, groups, "groups")
+    return _audit_slots(decomp_paths, groups)
 
 
 def _close_or_singletons(closed, target):

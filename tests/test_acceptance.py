@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -28,9 +29,11 @@ from seppath.separation import (
     verify_separation,
 )
 from seppath.strategies import (
-    audit_counters,
+    audit_groups,
+    audit_matchings_basic,
+    audit_matchings_degree,
+    audit_matchings_spread,
     iterated_log,
-    reset_audit_counters,
     separate_all,
 )
 from test_decomp import relabel
@@ -70,9 +73,23 @@ def make_instance(fam, param, n, seed):
     raise ValueError(fam)
 
 
+def record_audit_calls(mp):
+    """Patch each audit of seppath.strategies through mp to count its calls
+    by kind (basic, degree, spread, groups) in the returned Counter."""
+    calls = Counter()
+    for kind, audit in (("basic", audit_matchings_basic),
+                        ("degree", audit_matchings_degree),
+                        ("spread", audit_matchings_spread),
+                        ("groups", audit_groups)):
+        def counting(*args, kind=kind, audit=audit):
+            calls[kind] += 1
+            return audit(*args)
+        mp.setattr("seppath.strategies." + audit.__name__, counting)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def corpus_runs():
-    reset_audit_counters()
     runs = []
     built = []  # the graphs whose singleton system was built
 
@@ -82,15 +99,18 @@ def corpus_runs():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("seppath.strategies.singleton_baseline", counting)
+        audits = record_audit_calls(mp)  # audit kind -> calls in this run
         for fam, param, n, seed in corpus_specs():
             G = make_instance(fam, param, n, seed)
             built.clear()
+            audits.clear()
             t0 = time.perf_counter()
             system, report = separate_all(G, seed=seed)
             elapsed = time.perf_counter() - t0
             runs.append({"fam": fam, "param": param, "n": n, "seed": seed,
                          "G": G, "system": system, "report": report,
-                         "elapsed": elapsed, "singleton_builds": len(built)})
+                         "elapsed": elapsed, "singleton_builds": len(built),
+                         "audits": Counter(audits)})
     return runs
 
 
@@ -101,6 +121,9 @@ def naive_check(system):
     path_edges = [set(p.edges()) for p in system.paths]
     edges = sorted(system.target)
     for e in edges:
+        if system.mode == "strong" and not any(e in pe for pe in path_edges):
+            # strong separation puts every edge on a path
+            return (e, None)
         for f in edges:
             if e == f:
                 continue
@@ -155,6 +178,10 @@ def test_criterion_1_verifier_soundness():
             assert report.ok == (witness is None)
             assert (report.witness is None) == (witness is None)
             checked += 1
+    # a lone target edge on no path fails with no second edge to pair
+    G = Graph(2, [(0, 1)])
+    assert naive_check(PathSystem(G, [])) == verify_separation(
+        PathSystem(G, [])).witness == ((0, 1), None)
     rng = random.Random(424242)
     for trial in range(200):
         n = rng.randint(2, 8)
@@ -187,9 +214,8 @@ def test_criterion_2_oracle_ground_truth():
             reduced = PathSystem(
                 G, [p for i, p in enumerate(system.paths) if i != drop])
             rep = verify_separation(reduced)
-            # feasible means separating and covering every target edge
-            assert not rep.ok or rep.covered < len(reduced.target), (
-                "removable path in optimal system for %r" % G)
+            # strong verification fails an uncovered target edge too
+            assert not rep.ok, "removable path in optimal system for %r" % G
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
 
@@ -317,16 +343,13 @@ def test_criterion_8_matching_audits(corpus_runs):
     # audits run inside every pipeline stage and raise on any failure, so a
     # completed corpus implies a 100% pass rate; confirm they actually ran,
     # and drive the stage entry points whose rules the corpus never triggers
-    assert corpus_runs
-    assert sum(audit_counters.values()) > 0
-    assert audit_counters["spread"] > 0
+    audits = sum((run["audits"] for run in corpus_runs), Counter())
+    assert audits["spread"] > 0
     from seppath.strategies import (
-        audit_matchings_basic,
         build_matchings_basic,
         separate_dense_expander,
         separate_high_degree,
     )
-    separate_dense_expander(generate("gnp", 40, 0.5, seed=9), seed=1)
     # four hubs, ten vertices adjacent to all hubs, private leaves per hub:
     # sparse enough that the degree threshold sits below the hub degrees
     edges = [(h, s) for h in range(4) for s in range(4, 14)]
@@ -335,14 +358,16 @@ def test_criterion_8_matching_audits(corpus_runs):
         edges += [(h, nxt + i) for i in range(180)]
         nxt += 180
     hub = Graph(nxt, edges)
-    st = separate_high_degree(hub, hub.avg_degree())
+    with pytest.MonkeyPatch.context() as mp:
+        driven = record_audit_calls(mp)
+        separate_dense_expander(generate("gnp", 40, 0.5, seed=9), seed=1)
+        st = separate_high_degree(hub, hub.avg_degree())
     assert st.system.target
+    assert driven["degree"] > 0 and driven["groups"] > 0, driven
     G = generate("gnp", 30, 0.4, seed=4)
     D = decompose_into_paths(G)
     M, _ = build_matchings_basic(G, D, 3 * len(G))
     assert audit_matchings_basic(D.paths, M)
-    for kind in ("basic", "degree", "spread", "groups"):
-        assert audit_counters[kind] > 0, kind
 
 
 def test_singleton_candidate_is_sized_not_built(corpus_runs):

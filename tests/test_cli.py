@@ -228,11 +228,16 @@ def test_verify_failure_prints_witness(tmp_path, capsys):
     assert "witness" in capsys.readouterr().out
 
 
-def test_verify_lone_uncovered_edge_fails(tmp_path, capsys):
+@pytest.mark.parametrize("graph,system", [
+    ("# n=2\n0 1\n", ""),
+    # the least edge of three on no path has no partner either
+    ("# n=3\n0 1\n1 2\n", "1 2\n"),
+], ids=["lone", "path3"])
+def test_verify_lone_uncovered_edge_fails(tmp_path, capsys, graph, system):
     g = tmp_path / "g.edges"
     s = tmp_path / "s"
-    g.write_text("# n=2\n0 1\n")
-    s.write_text("# seppath-system v1\n")
+    g.write_text(graph)
+    s.write_text("# seppath-system v1\n" + system)
     assert run(["verify", "--graph", str(g), "--system", str(s)]) == 1
     assert capsys.readouterr().out == "FAIL: edge (0, 1) lies on no path\n"
 

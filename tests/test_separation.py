@@ -39,7 +39,13 @@ def naive_check(system):
                     pass
                 ok = any((e in es) != (f in es) for es in path_edge_lists)
             if not ok:
-                pair = (e, f) if system.mode == "strong" else tuple(sorted((e, f)))
+                if system.mode == "weak":
+                    pair = tuple(sorted((e, f)))
+                elif any(e in es for es in path_edge_lists):
+                    pair = (e, f)
+                else:
+                    # an edge on no path fails with no partner
+                    pair = (e, None)
                 if witness is None or pair < witness:
                     witness = pair
     if witness is None and system.mode == "strong":
@@ -84,14 +90,21 @@ def test_lone_uncovered_edge_fails_strong_verification():
     # target has no second edge to pair it with
     G = Graph(2, [(0, 1)])
     rep = verify_separation(PathSystem(G, []))
-    assert not rep.ok and rep.witness == ((0, 1), None) and rep.covered == 0
+    assert not rep.ok and rep.witness == ((0, 1), None)
     assert verify_separation(PathSystem(G, [Path([0, 1])])).ok
     assert verify_separation(PathSystem(G, [], mode="weak")).ok
     assert verify_separation(PathSystem(G, [], target=[])).ok
     P3 = generate("path", 3)
     rep = verify_separation(PathSystem(P3, [Path([1, 2])], target=[(0, 1)]))
     assert rep.witness == ((0, 1), None)
-    assert ref_verify_separation(PathSystem(G, [])) == (False, ((0, 1), None), 0)
+    assert ref_verify_separation(PathSystem(G, [])) == (False, ((0, 1), None))
+    # nor only when it is alone: an uncovered least edge of three has no
+    # partner either, though every other edge would make a failing pair
+    P4 = generate("path", 4)
+    system = PathSystem(P4, [Path([1, 2, 3])])
+    assert verify_separation(system).witness == ((0, 1), None)
+    assert ref_verify_separation(system) == (False, ((0, 1), None))
+    assert naive_check(system) == ((0, 1), None)
 
 
 def test_verifier_rejects_invalid_path():
@@ -319,7 +332,7 @@ def ref_verify_separation(system):
     kept as a reference: signatures under the vertex-and-edge validity rule,
     then a second walk for each path's target edges, and a strong check
     that scans each edge's first path rather than its shortest. Like the
-    verifier, it fails a lone target edge that lies on no path."""
+    verifier, it fails a target edge on no path with witness (e, None)."""
     host = system.host
     sig = {e: 0 for e in system.target}
     for i, p in enumerate(system.paths):
@@ -331,7 +344,6 @@ def ref_verify_separation(system):
             if e in sig:
                 sig[e] |= 1 << i
     edges = sorted(system.target)
-    covered = sum(1 for e in edges if sig[e])
     if system.mode == "weak":
         by_sig = {}
         witness = None
@@ -342,20 +354,20 @@ def ref_verify_separation(system):
                     witness = (other, e)
             else:
                 by_sig[sig[e]] = e
-        return witness is None, witness, covered
+        return witness is None, witness
     edge_list_of_path = [[e for e in p.edges() if e in sig] for p in system.paths]
     for e in edges:
         se = sig[e]
         if se == 0:
-            return False, (e, next((x for x in edges if x != e), None)), covered
+            return False, (e, None)
         first_path = (se & -se).bit_length() - 1
         best = None
         for f in edge_list_of_path[first_path]:
             if f != e and (se & ~sig[f]) == 0 and (best is None or f < best):
                 best = f
         if best is not None:
-            return False, (e, best), covered
-    return True, None, covered
+            return False, (e, best)
+    return True, None
 
 
 def outcome(verify, system):
@@ -363,7 +375,12 @@ def outcome(verify, system):
         rep = verify(system)
     except ValueError as exc:
         return "raise", str(exc)
-    return rep if isinstance(rep, tuple) else (rep.ok, rep.witness, rep.covered)
+    return rep if isinstance(rep, tuple) else (rep.ok, rep.witness)
+
+
+def has_uncovered(system):
+    """Whether some target edge of system lies on none of its paths."""
+    return not system.target <= {e for p in system.paths for e in p.edges()}
 
 
 def test_verifier_matches_reference_on_random_systems():
@@ -390,7 +407,7 @@ def test_verifier_matches_reference_on_random_systems():
         got = outcome(verify_separation, system)
         assert got == outcome(ref_verify_separation, system), system.paths
         kinds[got[0]] += 1
-        uncovered += got[0] != "raise" and got[2] < len(system.target)
+        uncovered += got[0] != "raise" and has_uncovered(system)
     assert min(kinds.values()) >= 40 and uncovered >= 40
 
 
@@ -476,5 +493,5 @@ def test_verifier_matches_reference_on_mixed_systems():
                     reached["first raise " + key] += 1
             else:
                 reached["ok" if got[0] else "fail"] += 1
-                reached["uncovered"] += got[2] < len(system.target)
+                reached["uncovered"] += has_uncovered(system)
     assert min(reached.values()) >= 20, reached

@@ -17,7 +17,6 @@ from seppath.strategies import (
     _first_fit,
     _separate_within,
     _union_members,
-    audit_counters,
     audit_groups,
     audit_matchings_basic,
     audit_matchings_degree,
@@ -31,12 +30,12 @@ from seppath.strategies import (
     one_step,
     reduce_large_deg,
     reduce_small_deg,
-    reset_audit_counters,
     separate_all,
     separate_dense_expander,
     separate_high_degree,
     separate_sparse_expander,
 )
+from test_acceptance import record_audit_calls
 from test_pinned_outputs import four_hub_graph, three_block_graph
 
 
@@ -669,11 +668,11 @@ def test_pipeline_verification_failure_names_the_level(monkeypatch, fault):
         % (where, dropped[0]))
 
 
-def test_separate_all_audits_ran():
-    reset_audit_counters()
+def test_separate_all_audits_ran(monkeypatch):
+    calls = record_audit_calls(monkeypatch)
     G = generate("gnp", 60, 0.5, seed=16)
     separate_all(G, seed=0)
-    assert sum(audit_counters.values()) > 0
+    assert sum(calls.values()) > 0
 
 
 def test_report_csv_shape():
@@ -686,8 +685,8 @@ def test_report_csv_shape():
         assert len(ln.split(",")) == 7
 
 
-# The four audit bodies as they were written out one by one, without their
-# pass counters, kept as references for _audit_slots.
+# The four audit bodies as they were written out one by one, kept as
+# references for _audit_slots.
 
 def ref_audit_matchings_basic(decomp_paths, matchings):
     owner = {}
@@ -828,19 +827,14 @@ GOOD_SLOTS = [
 def test_audits_reject_bad_slots(kind, slots):
     audit, ref = audit_pairs()[kind]
     assert ref(slots) is False
-    reset_audit_counters()
     assert audit(slots) is False
-    assert not audit_counters
 
 
 @pytest.mark.parametrize("kind,slots", GOOD_SLOTS)
 def test_audits_accept_good_slots(kind, slots):
     audit, ref = audit_pairs()[kind]
     assert ref(slots) is True
-    reset_audit_counters()
     assert audit(slots) is True
-    # each audit counts one pass under its own name, and only that
-    assert audit_counters == Counter({kind: 1})
 
 
 def test_close_or_singletons_counts_pieces_not_paths():
