@@ -7,7 +7,9 @@ compositions only check that their parts partition the edges, and
 separate_all verifies the system it returns.
 """
 
+import marshal
 import math
+import os
 import random
 import time
 from collections import Counter
@@ -615,22 +617,21 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def separate_all(G, seed=0, timings=False):
-    """
-    Full pipeline: iterate one_step on successive residuals, finish the
-    leftover edges as singletons, and return the smallest verified system
-    among the pipeline (the stage systems, each inside its own part, plus
-    the tail) and two baselines. Output separates E(G) in <= e(G) paths.
-    The bit-code baseline is built only when bitcode_lower_bound leaves it
-    a chance to be selected: below the pipeline's size and at most e(G).
-    The singleton baseline is sized as e(G) and built only when selected.
-    """
+def _level_runs(H, level, n):
+    """The level loop's test: level `level` of an n-vertex input runs on
+    its residual H."""
+    return (H.edges and H.avg_degree() >= DEGREE_FLOOR
+            and level < iterated_log(max(1, n)) + EXTRA_LEVELS)
+
+
+def _pipeline(G, seed, timings):
+    """one_step on successive residuals, then the leftover edges as
+    singletons; returns the verified system, its rows and the level
+    reached."""
     rows, paths, targets = [], [], []
     level = 0
     current = G
-    max_levels = iterated_log(max(1, len(G))) + EXTRA_LEVELS
-    while (current.edges and current.avg_degree() >= DEGREE_FLOOR
-           and level < max_levels):
+    while _level_runs(current, level, len(G)):
         t0 = time.perf_counter()
         step_seed = seed * 131 + level
         try:
@@ -658,12 +659,117 @@ def separate_all(G, seed=0, timings=False):
                    if witness[0] in t), "singleton-tail")
         raise AssertionError("pipeline output failed verification at %s, "
                              "witness %r" % (at, witness))
-    # the pipeline wins ties, and the bit code wins them against the
-    # singletons, so the bit code is built only when its bound leaves it
-    # a chance; otherwise its row reports the bound
+    return pipeline, rows, level
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _BitcodeWorker:
+    """A forked child that builds baseline_nlogn(G) beside the parent and
+    sends the vertex tuples of its paths back through a pipe, marshalled.
+    The child reads nothing and imports nothing, and it leaves through
+    os._exit, so it runs none of the parent's exit handlers and flushes
+    none of its buffers."""
+
+    __slots__ = ("pid", "fd")
+
+    def __init__(self, G):
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(r)
+            os.close(w)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(r)
+                data = marshal.dumps([p.vertices for p in baseline_nlogn(G).paths])
+                with open(w, "wb") as f:
+                    f.write(data)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+        self.pid, self.fd = pid, r
+
+    def system(self, G, seed):
+        """Read the child's paths to its EOF, reap it, and return them as
+        the bit-code system; a failed child raises AssertionError."""
+        fd, self.fd = self.fd, None
+        with open(fd, "rb") as f:
+            data = f.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        try:
+            tuples = marshal.loads(data) if code == 0 else None
+        except (EOFError, ValueError):   # a short or corrupt read
+            tuples = None
+        if tuples is None:
+            raise AssertionError("bit-code worker failed (exit code %d, %d bytes "
+                                 "read) on %d vertices, %d edges, seed %d"
+                                 % (code, len(data), len(G), G.num_edges(), seed))
+        return PathSystem(G, [Path(vs) for vs in tuples], mode="strong")
+
+    def close(self):
+        """Kill and reap the child unless system() has reaped it."""
+        if self.pid is not None:
+            import signal   # here, so importing the package loads no new module
+            os.kill(self.pid, signal.SIGKILL)
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is not None:
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def separate_all(G, seed=0, timings=False):
+    """
+    Full pipeline: iterate one_step on successive residuals, finish the
+    leftover edges as singletons, and return the smallest verified system
+    among the pipeline (the stage systems, each inside its own part, plus
+    the tail) and two baselines. Output separates E(G) in <= e(G) paths.
+    The bit-code baseline is built only when bitcode_lower_bound leaves it
+    a chance to be selected: below the pipeline's size and at most e(G).
+    The singleton baseline is sized as e(G) and built only when selected.
+
+    When the bound is at most e(G) and a pipeline level is about to run,
+    a forked child (POSIX only) builds the bit code while the parent runs
+    the pipeline; the parent reads it if the bound leaves it a chance, and
+    kills the child otherwise. Without os.fork, with one usable CPU, or
+    when no level runs, the bit code is built inline after the pipeline.
+    Either way the output is byte-identical, and no child outlives the
+    call. A traced run loses the spans of a bit code built in the child.
+    """
     m = G.num_edges()
     bound = bitcode_lower_bound(G)
-    bitcode = baseline_nlogn(G) if bound < len(pipeline) and bound <= m else None
+    worker = None
+    if (bound <= m and _level_runs(G, 0, len(G)) and hasattr(os, "fork")
+            and _usable_cpus() > 1):
+        try:
+            worker = _BitcodeWorker(G)
+        except OSError:   # no pipe or no child to be had: build it inline
+            pass
+    try:
+        pipeline, rows, level = _pipeline(G, seed, timings)
+        # the pipeline wins ties, and the bit code wins them against the
+        # singletons, so the bit code is used only when its bound leaves it
+        # a chance; otherwise its row reports the bound
+        bitcode = None
+        if bound < len(pipeline) and bound <= m:
+            bitcode = baseline_nlogn(G) if worker is None else worker.system(G, seed)
+    finally:
+        if worker is not None:
+            worker.close()
     rows.append((level, "candidate:pipeline", 0, len(pipeline), 0, 0, 0))
     if bitcode is None:
         rows.append((level, "bound:bitcode-baseline", 0, bound, 0, 0, 0))

@@ -1,4 +1,6 @@
+import errno
 import math
+import os
 import random
 from collections import Counter
 
@@ -7,7 +9,12 @@ import pytest
 from seppath.cli import system_to_text
 from seppath.decomp import decompose_into_bounded_paths, decompose_into_paths
 from seppath.graphs import Graph, Path, ball, generate
-from seppath.separation import PathSystem, singleton_baseline, verify_separation
+from seppath.separation import (
+    PathSystem,
+    baseline_nlogn,
+    singleton_baseline,
+    verify_separation,
+)
 from seppath.strategies import (
     DEGREE_FLOOR,
     StageResult,
@@ -543,6 +550,108 @@ def test_separate_all_residual_monotone():
     sizes = [r[5] for r in levels]
     assert all(b < G.num_edges() for b in sizes[:1])
     assert all(b2 < b1 for b1, b2 in zip(sizes, sizes[1:]))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(monkeypatch, fail=False):
+    """Record each os.fork call in this process; with fail=True each call
+    raises OSError, as when no child can be had."""
+    calls = []
+    fork = os.fork
+
+    def counting():
+        calls.append(os.getpid())
+        if fail:
+            raise OSError(errno.EAGAIN, "no child")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
+@pytest.mark.parametrize("G, seed", [
+    (generate("gnp", 100, 0.3, seed=1), 1),
+    (three_block_graph(1001), 1001),
+])
+def test_bitcode_worker_matches_the_inline_bitcode(monkeypatch, G, seed):
+    # the bit code built in the forked child is the one built inline, path
+    # for path, and it is selected with the same report
+    forks = count_forks(monkeypatch)
+    system, report = separate_all(G, seed=seed)
+    assert forks == [os.getpid()]
+    assert_no_child_left()
+    assert report.selected == "bitcode-baseline"
+    assert ([p.vertices for p in system.paths]
+            == [p.vertices for p in baseline_nlogn(G).paths])
+    monkeypatch.setattr("seppath.strategies._usable_cpus", lambda: 1)
+    inline, inline_report = separate_all(G, seed=seed)
+    assert forks == [os.getpid()]
+    assert system_to_text(inline) == system_to_text(system)
+    assert inline_report.to_csv() == report.to_csv()
+
+
+def test_bitcode_worker_failure_names_the_instance(monkeypatch):
+    # the child runs the patched builder, fails, and the parent names it
+    def failing(G):
+        raise RuntimeError("bit code failed")
+
+    monkeypatch.setattr("seppath.strategies.baseline_nlogn", failing)
+    G = generate("gnp", 100, 0.3, seed=1)
+    with pytest.raises(AssertionError, match=r"^bit-code worker failed \(exit "
+                       r"code 1, 0 bytes read\) on 100 vertices, %d edges, "
+                       r"seed 1$" % G.num_edges()):
+        separate_all(G, seed=1)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [AssertionError("audit failed"),
+                                   KeyboardInterrupt()])
+def test_pipeline_error_reaps_the_bitcode_worker(monkeypatch, error):
+    def failing(G, seed):
+        raise error
+
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr("seppath.strategies.one_step", failing)
+    with pytest.raises(type(error)):
+        separate_all(generate("gnp", 100, 0.3, seed=1), seed=1)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_bitcode_worker_cancelled_when_its_bound_loses(monkeypatch):
+    # gnp(40, 0.5) runs a level that separates nothing, so the pipeline
+    # has e(G) paths and a bound of e(G) leaves the bit code no chance
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr("seppath.strategies.bitcode_lower_bound",
+                        lambda G: G.num_edges())
+    G = generate("gnp", 40, 0.5, seed=1)
+    system, report = separate_all(G, seed=0)
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert report.selected == "pipeline"
+    assert report_row(report, "bound:bitcode-baseline")[3] == G.num_edges()
+    assert not any(row[1] == "candidate:bitcode-baseline" for row in report.rows)
+
+
+def test_bitcode_built_inline_where_no_worker_starts(monkeypatch):
+    # a failed fork and an input on which no level runs build the bit code
+    # inline (one usable CPU: test_bitcode_worker_matches_the_inline_bitcode)
+    forks = count_forks(monkeypatch, fail=True)
+    K = generate("complete", 20)
+    system, report = separate_all(K, seed=0)
+    assert len(forks) == 1   # K20's degree 19 lets level 0 start
+    assert report.selected == "bitcode-baseline"
+    assert system_to_text(system) == system_to_text(baseline_nlogn(K))
+    sparse = generate("gnp", 100, 0.1, seed=1)
+    _, report = separate_all(sparse, seed=0)
+    assert len(forks) == 1
+    assert report_row(report, "candidate:bitcode-baseline")[3] == len(
+        baseline_nlogn(sparse))
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("G, seed", [
